@@ -29,14 +29,20 @@
 //! The process also runs under a **counting global allocator** and reports
 //! steady-state allocations/round and bytes/round for traced vs. untraced
 //! runs of both stacks, plus allocations/call of the SINR radio's
-//! `resolve_into`. Three allocation gates make the bench exit nonzero
-//! (which is what the CI bench-smoke step gates on):
+//! `resolve_into` and allocations per `RadioChannel::new`. Four allocation
+//! gates make the bench exit nonzero (which is what the CI bench-smoke
+//! step gates on):
 //!
-//! * the untraced hot path must be exactly zero-allocation after warm-up;
+//! * the untraced hot path must be exactly zero-allocation after warm-up
+//!   (the synthetic stacks, plus the SINR-radio stack as the `phy/*`
+//!   sweep arms assemble it);
 //! * the *traced* path must stay O(1) amortized — arena growth only,
 //!   gated at < 1 allocation/round in the steady-state window;
 //! * `RadioChannel::resolve_into` into a reused `PhyRound` must be
-//!   exactly zero-allocation after warm-up.
+//!   exactly zero-allocation after warm-up;
+//! * `RadioChannel::new` must make a constant number of allocations (at
+//!   most 3, the same at n = 8 and n = 64): the gain build is O(n²)
+//!   arithmetic, never O(n²) allocator calls.
 //!
 //! Besides the stdout report, the bench writes machine-readable results to
 //! `BENCH_engine.json` at the workspace root. Run with:
@@ -52,9 +58,9 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use wan_bench::sweep::{CellEnd, MetricRow, ProbeManifest, ProbeSet};
 use wan_cd::{CdClass, CheckedDetector, ClassDetector, Degrading, FreedomPolicy};
-use wan_cm::FairWakeUp;
+use wan_cm::{BackoffCm, FairWakeUp};
 use wan_mac::{mac_components, MacConfig, MacDelayPolicy};
-use wan_phy::{PhyConfig, PhyRound, RadioChannel};
+use wan_phy::{phy_components, PhyConfig, PhyRound, RadioChannel};
 use wan_sim::crash::{NoCrashes, TimelineCrashes};
 use wan_sim::loss::{Ecf, NoLoss, RandomLoss, TimelineLoss};
 use wan_sim::ProcessId;
@@ -542,6 +548,26 @@ fn main() {
             .with_detail(TraceDetail::Counts);
             Box::new(move |r| e.run_untraced(r))
         }),
+        // The SINR-radio stack exactly as the `phy/*` sweep arms assemble
+        // it (boxed components: the radio's carrier-sense detector under
+        // the in-class wrap, the backoff manager, the radio loss under the
+        // r_cf = 1 ECF wrap): the per-round resolve and the word-wise
+        // hand-off into the engine's delivery matrix reuse their buffers.
+        ("phy", 32, "boxed", "untraced", {
+            let seed = 7;
+            let (loss, detector) = phy_components(PhyConfig::new(32, seed));
+            let mut e = Simulation::new(
+                beacons(32),
+                black_box(Components {
+                    detector: Box::new(CheckedDetector::new(detector, CdClass::ZERO_EV_AC)),
+                    manager: Box::new(BackoffCm::new(seed ^ 0xBAC0)),
+                    loss: Box::new(Ecf::new(loss, Round(1))),
+                    crash: Box::new(NoCrashes),
+                }),
+            )
+            .with_detail(TraceDetail::Counts);
+            Box::new(move |r| e.run_untraced(r))
+        }),
         ("storm", 4, "static", "traced", {
             let mut e = Engine::from_parts(beacons(4), AlwaysNull, AllActive, NoLoss, NoCrashes)
                 .with_detail(TraceDetail::Counts);
@@ -652,6 +678,43 @@ fn main() {
     }
     let _ = writeln!(json, "  ],");
 
+    // Building the radio: positions and the gain matrix are its only heap
+    // storage, so `RadioChannel::new` makes a constant number of
+    // allocations however many O(n²) gain entries it fills.
+    const PHY_BUILD_MAX_ALLOCS: u64 = 3;
+    let _ = writeln!(json, "  \"phy_build\": [");
+    let build_sizes = [8usize, 64];
+    let mut build_allocs = Vec::with_capacity(build_sizes.len());
+    for (i, n) in build_sizes.into_iter().enumerate() {
+        let (calls0, bytes0) = alloc_snapshot();
+        let channel = black_box(RadioChannel::new(PhyConfig::new(n, 11)));
+        let (calls1, bytes1) = alloc_snapshot();
+        drop(channel);
+        let (allocs, bytes) = (calls1 - calls0, bytes1 - bytes0);
+        println!("phy    n={n:<3} build            {allocs:>10} allocs/new  {bytes:>12} bytes/new");
+        if allocs > PHY_BUILD_MAX_ALLOCS {
+            alloc_violations.push(format!(
+                "phy build n={n}: {allocs} allocs/new (gate: at most {PHY_BUILD_MAX_ALLOCS})"
+            ));
+        }
+        build_allocs.push(allocs);
+        let _ = writeln!(json, "    {{");
+        let _ = writeln!(json, "      \"n\": {n},");
+        let _ = writeln!(json, "      \"allocs_per_new\": {allocs},");
+        let _ = writeln!(json, "      \"bytes_per_new\": {bytes}");
+        let _ = writeln!(
+            json,
+            "    }}{}",
+            if i + 1 < build_sizes.len() { "," } else { "" }
+        );
+    }
+    if build_allocs.windows(2).any(|w| w[0] != w[1]) {
+        alloc_violations.push(format!(
+            "phy build: allocs/new vary with n ({build_allocs:?}) — the gain build allocates per entry"
+        ));
+    }
+    let _ = writeln!(json, "  ],");
+
     // The probe path: the full built-in probe set observing recorded
     // rounds (the traced-by-default sweep's per-round analysis cost). The
     // set and the metric row are reused across cells, exactly as the
@@ -733,8 +796,9 @@ fn main() {
     println!("\nwrote {out}:\n{json}");
 
     // The CI gates: the untraced hot path and phy resolve must be
-    // allocation-free in steady state, and the traced path O(1) amortized
-    // (arena growth only). (Checked after the JSON is written so a
+    // allocation-free in steady state, the traced path O(1) amortized
+    // (arena growth only), and the radio build a constant allocation
+    // count. (Checked after the JSON is written so a
     // regression still leaves the numbers on disk.)
     assert!(
         alloc_violations.is_empty(),

@@ -10,19 +10,20 @@ use wan_sim::{ProcessId, Round};
 ///
 /// The buffers are reusable: [`RadioChannel::resolve_into`] re-keys an
 /// existing `PhyRound` without releasing its storage, so a steady-state
-/// resolution allocates nothing. The delivery matrix is stored flat
-/// (row-major by sender index) behind the [`PhyRound::delivered`]
-/// accessor.
+/// resolution allocates nothing. Deliveries are stored in
+/// [`wan_sim::DeliveryMatrix`]'s layout — receiver-major `u64` words, bit
+/// = sender process index — so the loss adapter hands a receiver's whole
+/// row over in one word-wise OR.
 #[derive(Debug, Clone, Default)]
 pub struct PhyRound {
     /// The broadcasters, in ascending order.
     senders: Vec<ProcessId>,
-    /// Number of process indices (the row length of `delivered`).
-    n: usize,
-    /// `delivered[si * n + r]`: did receiver `r` decode sender
-    /// `senders[si]`'s packet (self-reception excluded here; the engine
-    /// adds it).
-    delivered: Vec<bool>,
+    /// `⌈n/64⌉`: the row width of `delivered`, in words.
+    words_per_row: usize,
+    /// `delivered[r * words_per_row + s / 64]` bit `s % 64`: did receiver
+    /// `r` decode process `s`'s packet (self-reception excluded here; the
+    /// engine adds it). Only sender bits are ever set.
+    delivered: Vec<u64>,
     /// Per-receiver collision flag from the carrier-sensing detector rule:
     /// some foreign slot was energy-busy but yielded no decode.
     collision: Vec<bool>,
@@ -42,7 +43,15 @@ impl PhyRound {
 
     /// Whether receiver `rx` decoded sender `senders[si]`'s packet.
     pub fn delivered(&self, si: usize, rx: usize) -> bool {
-        self.delivered[si * self.n + rx]
+        let s = self.senders[si].index();
+        self.delivered[rx * self.words_per_row + s / 64] & (1u64 << (s % 64)) != 0
+    }
+
+    /// Receiver `rx`'s delivery words (`⌈n/64⌉` of them; bit `s` of word
+    /// `s / 64` means `rx` decoded process `s`) — the layout of
+    /// [`wan_sim::DeliveryMatrix::row_words`].
+    pub(crate) fn row_words(&self, rx: usize) -> &[u64] {
+        &self.delivered[rx * self.words_per_row..][..self.words_per_row]
     }
 
     /// Per-receiver carrier-sense collision flags (length `n`).
@@ -58,18 +67,27 @@ impl PhyRound {
     /// How many of the round's broadcasts receiver `r` decoded (not
     /// counting its own).
     pub fn decoded_by(&self, r: ProcessId) -> usize {
-        (0..self.senders.len())
-            .filter(|&si| self.delivered(si, r.index()))
-            .count()
+        self.row_words(r.index())
+            .iter()
+            .map(|w| w.count_ones() as usize)
+            .sum()
+    }
+
+    /// Records that receiver `rx` decoded sender `senders[si]` (the
+    /// scalar reference's writer).
+    #[cfg(test)]
+    fn set_delivered(&mut self, si: usize, rx: usize) {
+        let s = self.senders[si].index();
+        self.delivered[rx * self.words_per_row + s / 64] |= 1u64 << (s % 64);
     }
 
     /// Re-keys the buffers for a new round, keeping their storage.
     fn clear_and_resize(&mut self, senders: &[ProcessId], n: usize) {
         self.senders.clear();
         self.senders.extend_from_slice(senders);
-        self.n = n;
+        self.words_per_row = n.div_ceil(64);
         self.delivered.clear();
-        self.delivered.resize(senders.len() * n, false);
+        self.delivered.resize(n * self.words_per_row, 0);
         self.collision.clear();
         self.collision.resize(n, false);
     }
@@ -108,11 +126,37 @@ struct ResolveScratch {
 /// slot index is always `< slots_per_round`).
 const NO_SLOT: usize = usize::MAX;
 
+/// The configuration's linear-scale constants, converted once at
+/// construction instead of by four `powf` calls per resolve.
+#[derive(Debug, Clone, Copy)]
+struct LinkBudget {
+    /// Transmit power (mW).
+    p_tx: f64,
+    /// Noise floor (mW).
+    noise: f64,
+    /// SINR decode threshold (linear).
+    beta: f64,
+    /// Carrier-sense threshold (mW).
+    sense: f64,
+}
+
+impl LinkBudget {
+    fn new(cfg: &PhyConfig) -> Self {
+        LinkBudget {
+            p_tx: PhyConfig::dbm_to_mw(cfg.tx_power_dbm),
+            noise: PhyConfig::dbm_to_mw(cfg.noise_floor_dbm),
+            beta: PhyConfig::db_to_linear(cfg.sinr_threshold_db),
+            sense: PhyConfig::dbm_to_mw(cfg.sense_threshold_dbm),
+        }
+    }
+}
+
 /// The radio: static geometry and link gains, plus pure-function fading and
 /// interference realizations per round.
 #[derive(Debug, Clone)]
 pub struct RadioChannel {
     cfg: PhyConfig,
+    budget: LinkBudget,
     /// Node positions (metres).
     positions: Vec<(f64, f64)>,
     /// Static linear link gains (path loss × shadowing), row-major:
@@ -128,6 +172,13 @@ pub struct RadioChannel {
 impl RadioChannel {
     /// Builds the radio: places nodes uniformly in the disc and fixes the
     /// static gains.
+    ///
+    /// Each unordered pair is computed once and mirrored, which is
+    /// bit-identical to filling every ordered pair: the distance is
+    /// symmetric under IEEE negation (`(a - b)² == (b - a)²` exactly) and
+    /// the shadowing draw is keyed by `(min, max)`. The draw extends a
+    /// per-row hash prefix, so the build allocates only its two output
+    /// vectors (`gains_reference` in the test module pins the identity).
     pub fn new(cfg: PhyConfig) -> Self {
         assert!(cfg.n >= 1, "need at least one node");
         assert!(cfg.slots_per_round >= 1, "need at least one slot");
@@ -138,24 +189,24 @@ impl RadioChannel {
                 (r * theta.cos(), r * theta.sin())
             })
             .collect();
-        let mut gain = vec![0.0; cfg.n * cfg.n];
-        for i in 0..cfg.n {
-            for j in 0..cfg.n {
-                if i == j {
-                    continue;
-                }
-                let (a, b) = (i.min(j) as u64, i.max(j) as u64);
-                let (xi, yi) = positions[i];
-                let (xj, yj) = positions[j];
+        let n = cfg.n;
+        let mut gain = vec![0.0; n * n];
+        let shadow_prefix = hash::hash_tuple(&[cfg.seed, 0x5D]);
+        for (i, &(xi, yi)) in positions.iter().enumerate() {
+            let row_prefix = hash::extend(shadow_prefix, i as u64);
+            for (j, &(xj, yj)) in positions.iter().enumerate().skip(i + 1) {
                 let d = ((xi - xj).powi(2) + (yi - yj).powi(2)).sqrt().max(1.0);
                 let path = d.powf(-cfg.pathloss_exp);
                 let shadow_db =
-                    cfg.shadowing_sigma_db * hash::standard_normal(&[cfg.seed, 0x5D, a, b]);
-                gain[i * cfg.n + j] = path * PhyConfig::db_to_linear(shadow_db);
+                    cfg.shadowing_sigma_db * hash::standard_normal_extend(row_prefix, j as u64);
+                let g = path * PhyConfig::db_to_linear(shadow_db);
+                gain[i * n + j] = g;
+                gain[j * n + i] = g;
             }
         }
         RadioChannel {
             cfg,
+            budget: LinkBudget::new(&cfg),
             positions,
             gain,
             scratch: RefCell::new(ResolveScratch::default()),
@@ -247,10 +298,12 @@ impl RadioChannel {
     pub fn resolve_into(&self, round: Round, senders: &[ProcessId], out: &mut PhyRound) {
         let n = self.cfg.n;
         let slots = self.cfg.slots_per_round;
-        let p_tx = PhyConfig::dbm_to_mw(self.cfg.tx_power_dbm);
-        let noise = PhyConfig::dbm_to_mw(self.cfg.noise_floor_dbm);
-        let beta = PhyConfig::db_to_linear(self.cfg.sinr_threshold_db);
-        let sense = PhyConfig::dbm_to_mw(self.cfg.sense_threshold_dbm);
+        let LinkBudget {
+            p_tx,
+            noise,
+            beta,
+            sense,
+        } = self.budget;
 
         let mut scratch = self.scratch.borrow_mut();
         let ResolveScratch {
@@ -318,7 +371,8 @@ impl RadioChannel {
         let own_slot = &own_slot[..n];
         let acc = &mut acc[..n];
         let decoded = &mut decoded[..n];
-        let delivered = &mut out.delivered[..ns * n];
+        let wpr = out.words_per_row;
+        let delivered = &mut out.delivered[..n * wpr];
         let collision = &mut out.collision[..n];
 
         // Bit-identity notes for the specializations below. All powers
@@ -350,9 +404,9 @@ impl RadioChannel {
             if interference == 0.0 {
                 if let &[si] = group {
                     let tx = senders[si].index();
+                    let (word, bit) = (tx / 64, tx % 64);
                     let prefix = fading_prefix[si];
                     let gain_row = &self.gain[tx * n..(tx + 1) * n];
-                    let delivered_row = &mut delivered[si * n..(si + 1) * n];
                     for rx in 0..n {
                         let g = gain_row[rx];
                         let p = if g > 0.0 {
@@ -362,7 +416,7 @@ impl RadioChannel {
                         };
                         let ok = own_slot[rx] != slot;
                         let del = (p / noise >= beta) & ok;
-                        delivered_row[rx] = del;
+                        delivered[rx * wpr + word] |= u64::from(del) << bit;
                         collision[rx] |= ok & !del & (p >= sense);
                     }
                     continue;
@@ -400,13 +454,14 @@ impl RadioChannel {
                 // Quiet channel: `total == acc[rx]` exactly, so the
                 // denominator is `noise + (acc[rx] - p)`.
                 for (k, &si) in group.iter().enumerate() {
+                    let tx = senders[si].index();
+                    let (word, bit) = (tx / 64, tx % 64);
                     let power_row = &power[k * n..(k + 1) * n];
-                    let delivered_row = &mut delivered[si * n..(si + 1) * n];
                     for rx in 0..n {
                         let p = power_row[rx];
                         let sinr = p / (noise + (acc[rx] - p));
                         let del = (sinr >= beta) & (own_slot[rx] != slot);
-                        delivered_row[rx] = del;
+                        delivered[rx * wpr + word] |= u64::from(del) << bit;
                         decoded[rx] |= del;
                     }
                 }
@@ -420,14 +475,15 @@ impl RadioChannel {
                 // ((total - interference) - p)`).
                 let ni = noise + interference;
                 for (k, &si) in group.iter().enumerate() {
+                    let tx = senders[si].index();
+                    let (word, bit) = (tx / 64, tx % 64);
                     let power_row = &power[k * n..(k + 1) * n];
-                    let delivered_row = &mut delivered[si * n..(si + 1) * n];
                     for rx in 0..n {
                         let p = power_row[rx];
                         let total = acc[rx] + interference;
                         let sinr = p / (ni + (total - interference - p));
                         let del = (sinr >= beta) & (own_slot[rx] != slot);
-                        delivered_row[rx] = del;
+                        delivered[rx * wpr + word] |= u64::from(del) << bit;
                         decoded[rx] |= del;
                     }
                 }
@@ -439,9 +495,39 @@ impl RadioChannel {
         }
     }
 
-    /// The seed-era per-(receiver, slot) scalar resolver, retained
-    /// verbatim as the bit-identity oracle for the slot-major kernel
-    /// (see the proptest in the test module).
+    /// The seed-era ordered-pair gain build, retained verbatim as the
+    /// bit-identity oracle for the mirrored build in
+    /// [`RadioChannel::new`]: every `(i, j)` computed on its own, each
+    /// shadowing draw through the slice-form [`hash::standard_normal`].
+    #[cfg(test)]
+    fn gains_reference(&self) -> Vec<f64> {
+        let cfg = &self.cfg;
+        let positions = &self.positions;
+        let mut gain = vec![0.0; cfg.n * cfg.n];
+        #[allow(clippy::needless_range_loop)] // `i`/`j` index positions and gains
+        for i in 0..cfg.n {
+            for j in 0..cfg.n {
+                if i == j {
+                    continue;
+                }
+                let (a, b) = (i.min(j) as u64, i.max(j) as u64);
+                let (xi, yi) = positions[i];
+                let (xj, yj) = positions[j];
+                let d = ((xi - xj).powi(2) + (yi - yj).powi(2)).sqrt().max(1.0);
+                let path = d.powf(-cfg.pathloss_exp);
+                let shadow_db =
+                    cfg.shadowing_sigma_db * hash::standard_normal(&[cfg.seed, 0x5D, a, b]);
+                gain[i * cfg.n + j] = path * PhyConfig::db_to_linear(shadow_db);
+            }
+        }
+        gain
+    }
+
+    /// The seed-era per-(receiver, slot) scalar resolver, retained as the
+    /// bit-identity oracle for the slot-major kernel (see the proptest in
+    /// the test module). Only its output write goes through
+    /// `PhyRound::set_delivered`, the word layout's setter; every value
+    /// it computes is the seed-era expression.
     #[cfg(test)]
     fn resolve_scalar_reference(&self, round: Round, senders: &[ProcessId]) -> PhyRound {
         let n = self.cfg.n;
@@ -483,7 +569,7 @@ impl RadioChannel {
                 for &(si, p) in txs.iter() {
                     let sinr = p / (noise + interference + (total - interference - p));
                     if sinr >= beta {
-                        out.delivered[si * n + rx] = true;
+                        out.set_delivered(si, rx);
                         any_decoded = true;
                     }
                 }
@@ -669,37 +755,28 @@ mod tests {
     }
 
     #[test]
-    fn gain_is_row_major_symmetric_and_matches_nested_reference() {
-        // Bug-adjacent pin for the flat layout: recompute the gains the
-        // way the seed-era nested `Vec<Vec<f64>>` did and require exact
-        // equality, plus the symmetry the shared shadowing term implies.
-        let cfg = PhyConfig::new(7, 42);
-        let ch = RadioChannel::new(cfg);
-        let positions = ch.positions();
-        let mut nested = vec![vec![0.0f64; cfg.n]; cfg.n];
-        #[allow(clippy::needless_range_loop)] // `i`/`j` index positions and nested
-        for i in 0..cfg.n {
-            for j in 0..cfg.n {
-                if i == j {
-                    continue;
+    fn gain_build_is_symmetric_and_bit_identical_to_reference() {
+        // The mirrored, prefix-hashed build against the seed-era
+        // ordered-pair loop, to the bit, across sizes on both sides of a
+        // 64-node word and many seeds — plus the row-major `gain(i, j)`
+        // accessor, the symmetry and the zero diagonal.
+        for n in [1usize, 2, 3, 16, 32, 64] {
+            for seed in 0..50u64 {
+                let ch = channel(n, seed);
+                let reference = ch.gains_reference();
+                for i in 0..n {
+                    for j in 0..n {
+                        let g = ch.gain(i, j);
+                        assert_eq!(
+                            g.to_bits(),
+                            reference[i * n + j].to_bits(),
+                            "n {n} seed {seed} gain({i}, {j})"
+                        );
+                        assert_eq!(g.to_bits(), ch.gain(j, i).to_bits(), "symmetry");
+                    }
+                    assert_eq!(ch.gain(i, i), 0.0, "diagonal");
                 }
-                let (a, b) = (i.min(j) as u64, i.max(j) as u64);
-                let (xi, yi) = positions[i];
-                let (xj, yj) = positions[j];
-                let d = ((xi - xj).powi(2) + (yi - yj).powi(2)).sqrt().max(1.0);
-                let path = d.powf(-cfg.pathloss_exp);
-                let shadow_db =
-                    cfg.shadowing_sigma_db * hash::standard_normal(&[cfg.seed, 0x5D, a, b]);
-                nested[i][j] = path * PhyConfig::db_to_linear(shadow_db);
             }
-        }
-        #[allow(clippy::needless_range_loop)] // `i`/`j` index both layouts
-        for i in 0..cfg.n {
-            for j in 0..cfg.n {
-                assert_eq!(ch.gain(i, j), nested[i][j], "gain({i}, {j})");
-                assert_eq!(ch.gain(i, j), ch.gain(j, i), "symmetry ({i}, {j})");
-            }
-            assert_eq!(ch.gain(i, i), 0.0, "diagonal");
         }
     }
 }

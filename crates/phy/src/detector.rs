@@ -71,13 +71,11 @@ impl LossAdversary for PhyLoss {
         shared
             .channel
             .resolve_into(round, senders, &mut shared.outcome);
+        // The radio's rows are already in the matrix's receiver-major word
+        // layout: one word-wise OR per receiver.
         out.clear_and_resize(senders, n);
-        for (si, &s) in senders.iter().enumerate() {
-            for r in 0..n {
-                if shared.outcome.delivered(si, r) {
-                    out.set(s, ProcessId(r), true);
-                }
-            }
+        for r in 0..n {
+            out.deliver_row_mask(ProcessId(r), shared.outcome.row_words(r));
         }
         shared.resolved = Some(round);
     }
@@ -174,6 +172,42 @@ mod tests {
         // the Noise Lemma proxy everyone heard something or flagged.
         for p in sim.processes() {
             assert!(p.heard >= 1, "own message at least (constraint 5)");
+        }
+    }
+
+    #[test]
+    fn loss_hand_off_matches_resolved_pairs() {
+        // The word-wise hand-off must carry exactly the radio's
+        // (sender, receiver) decodes, on both sides of a 64-node word.
+        for n in [5usize, 70] {
+            let cfg = PhyConfig::new(n, 9).with_interference(0.3, Some(Round(20)));
+            let (mut loss, _) = phy_components(cfg);
+            let radio = RadioChannel::new(cfg);
+            let mut out = DeliveryMatrix::empty();
+            for r in 1..40u64 {
+                let senders: Vec<ProcessId> = (0..n)
+                    .filter(|&i| (i as u64 * 7 + r).is_multiple_of(3))
+                    .map(ProcessId)
+                    .collect();
+                loss.deliver_into(Round(r), &senders, n, &mut out);
+                let expected = radio.resolve(Round(r), &senders);
+                for (si, &s) in senders.iter().enumerate() {
+                    for rx in 0..n {
+                        assert_eq!(
+                            out.delivered(s, ProcessId(rx)),
+                            expected.delivered(si, rx),
+                            "n {n} round {r} sender {s} receiver {rx}"
+                        );
+                    }
+                }
+                for rx in 0..n {
+                    assert_eq!(
+                        out.received_count(ProcessId(rx)),
+                        expected.decoded_by(ProcessId(rx)),
+                        "n {n} round {r} receiver {rx}"
+                    );
+                }
+            }
         }
     }
 

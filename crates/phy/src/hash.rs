@@ -42,23 +42,10 @@ fn unit_from(h: u64) -> f64 {
     (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// An exponential(1) draw from a prefix accumulator plus final part:
-/// bit-identical to `exponential(&[..prefix parts.., last])`.
+/// [`unit_from`], but never exactly zero (safe for `ln`).
 #[inline]
-pub fn exponential_extend(prefix: u64, last: u64) -> f64 {
-    let u = unit_from(extend(prefix, last));
-    let u = if u <= 0.0 { f64::MIN_POSITIVE } else { u };
-    -u.ln()
-}
-
-/// A uniform draw in `[0, 1)` from hashed inputs (53-bit mantissa).
-pub fn uniform(parts: &[u64]) -> f64 {
-    (hash_tuple(parts) >> 11) as f64 / (1u64 << 53) as f64
-}
-
-/// A uniform draw that is never exactly zero (safe for `ln`).
-pub fn uniform_open(parts: &[u64]) -> f64 {
-    let u = uniform(parts);
+fn open_unit_from(h: u64) -> f64 {
+    let u = unit_from(h);
     if u <= 0.0 {
         f64::MIN_POSITIVE
     } else {
@@ -66,20 +53,48 @@ pub fn uniform_open(parts: &[u64]) -> f64 {
     }
 }
 
+/// An exponential(1) draw from a prefix accumulator plus final part:
+/// bit-identical to `exponential(&[..prefix parts.., last])`.
+#[inline]
+pub fn exponential_extend(prefix: u64, last: u64) -> f64 {
+    -open_unit_from(extend(prefix, last)).ln()
+}
+
+/// A uniform draw in `[0, 1)` from hashed inputs (53-bit mantissa).
+pub fn uniform(parts: &[u64]) -> f64 {
+    unit_from(hash_tuple(parts))
+}
+
+/// A uniform draw that is never exactly zero (safe for `ln`).
+pub fn uniform_open(parts: &[u64]) -> f64 {
+    open_unit_from(hash_tuple(parts))
+}
+
 /// An exponential(1) draw — Rayleigh *power* fading.
 pub fn exponential(parts: &[u64]) -> f64 {
     -uniform_open(parts).ln()
 }
 
+/// The Box–Muller normal keyed by a finished tuple hash `h`: its two
+/// uniforms are `h` extended by the salts `0xA5A5` and `0x5A5A`.
+#[inline]
+fn normal_from(h: u64) -> f64 {
+    let u1 = open_unit_from(extend(h, 0xA5A5));
+    let u2 = unit_from(extend(h, 0x5A5A));
+    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+}
+
+/// A standard normal draw from a prefix accumulator plus final part:
+/// bit-identical to `standard_normal(&[..prefix parts.., last])`, with no
+/// allocation.
+#[inline]
+pub fn standard_normal_extend(prefix: u64, last: u64) -> f64 {
+    normal_from(extend(prefix, last))
+}
+
 /// A standard normal draw via Box–Muller (used for log-normal shadowing).
 pub fn standard_normal(parts: &[u64]) -> f64 {
-    let mut with_salt = parts.to_vec();
-    with_salt.push(0xA5A5);
-    let u1 = uniform_open(&with_salt);
-    with_salt.pop();
-    with_salt.push(0x5A5A);
-    let u2 = uniform(&with_salt);
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+    normal_from(hash_tuple(parts))
 }
 
 #[cfg(test)]
@@ -107,6 +122,36 @@ mod tests {
                     exponential(&parts).to_bits(),
                     "round {round} rx {rx}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn normal_prefix_extension_is_bit_identical() {
+        // The gain build's shadowing draw: a `(seed, 0x5D)` prefix
+        // extended by the pair `(a, b)` must reproduce the slice form,
+        // and both must equal the seed-era Box–Muller over the salted
+        // slices `[.., 0xA5A5]` and `[.., 0x5A5A]`.
+        for seed in 0..20u64 {
+            let prefix = hash_tuple(&[seed, 0x5D]);
+            for a in 0..8u64 {
+                let row = extend(prefix, a);
+                for b in a + 1..12 {
+                    let u1 = uniform_open(&[seed, 0x5D, a, b, 0xA5A5]);
+                    let u2 = uniform(&[seed, 0x5D, a, b, 0x5A5A]);
+                    let seed_era =
+                        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+                    assert_eq!(
+                        standard_normal(&[seed, 0x5D, a, b]).to_bits(),
+                        seed_era.to_bits(),
+                        "slice form, seed {seed} pair ({a}, {b})"
+                    );
+                    assert_eq!(
+                        standard_normal_extend(row, b).to_bits(),
+                        seed_era.to_bits(),
+                        "prefix form, seed {seed} pair ({a}, {b})"
+                    );
+                }
             }
         }
     }
