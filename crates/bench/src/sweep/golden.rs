@@ -1,12 +1,13 @@
 //! Golden sweep summaries: the experiment matrix as a CI regression gate.
 //!
-//! `run_experiments --check` re-executes the standard scenario registry
-//! (through the result cache, so a warm run is I/O-bound), summarizes the
-//! resulting [`ResultsFrame`] per spec, and compares against the committed
-//! golden file under `golden/sweeps/` — any drift (a changed worst-case
-//! bound, a safety or termination flip, a moved probe metric, or any
-//! cell-level change via the per-spec digests) exits nonzero. `--bless`
+//! `run_experiments check` re-executes the standard scenario registry,
+//! summarizes the resulting [`ResultsFrame`] per spec, and compares against
+//! the committed golden file under `golden/sweeps/` — any drift (a changed
+//! worst-case bound, a safety or termination flip, a moved probe metric, or
+//! any cell-level change via the per-spec digests) exits nonzero. `bless`
 //! regenerates the golden file after an *intentional* behavior change.
+//! [`gate`] is that post-measurement half: the safety gate, the observed
+//! summary record, then bless or compare.
 //!
 //! The summary is deliberately cell-exact at two depths: each spec row
 //! carries the legacy stable FNV digest over every cell's core result
@@ -15,16 +16,17 @@
 //! drift in any probe measurement, not just the four legacy fields, while
 //! the committed file stays a reviewable handful of lines per spec.
 
-use super::cache::CellKey;
 use super::frame::ResultsFrame;
 use super::json::{escape, field_opt, field_str, field_u64, opt_token};
 use super::probe::MetricId;
-use super::runner::SweepRunner;
-use super::spec::{Registry, ScenarioSpec};
+use super::spec::ScenarioSpec;
 use crate::Scale;
+use std::fs;
+use std::io::{self, Write};
+use std::path::{Path, PathBuf};
 use wan_sim::fingerprint::StableHasher;
 
-/// Bumped when the summary schema changes; a mismatch fails `--check`
+/// Bumped when the summary schema changes; a mismatch fails `check`
 /// with a regeneration hint. v2: frame digests and probe summary fields
 /// joined the per-spec rows.
 pub const FORMAT_VERSION: u32 = 2;
@@ -50,8 +52,8 @@ fn scale_name(scale: Scale) -> &'static str {
 /// fault-injection timeline in the `churn/*` family) is constructed so
 /// that consensus safety holds; a cell whose outcome checker flags
 /// disagreement or an invalid decision is therefore always a bug, never
-/// an expected measurement, and `run_experiments --check` fails loudly
-/// with these coordinates on stderr.
+/// an expected measurement, and [`gate`] fails loudly with these
+/// coordinates before anything is blessed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SafetyViolation {
     /// The registry spec name.
@@ -60,49 +62,32 @@ pub struct SafetyViolation {
     pub case: u64,
     /// The cell's derived RNG seed (reproduce with a single-cell run).
     pub cell_seed: u64,
-    /// The cell's content-addressed cache key, hex-rendered — locates the
-    /// poisoned entry in `target/sweep-cache/` for eviction or inspection.
-    pub cell_key: String,
 }
 
 impl std::fmt::Display for SafetyViolation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "spec `{}` case {} seed {:#018x} cell-key {}",
-            self.spec, self.case, self.cell_seed, self.cell_key
+            "spec `{}` case {} seed {:#018x}",
+            self.spec, self.case, self.cell_seed
         )
     }
 }
 
 /// Scans every cell of an executed sweep for safety violations
-/// (`safe == false`: broken agreement or validity). Cell keys are derived
-/// lazily — the canary fingerprint costs two traced reference runs per
-/// spec, so only offending specs pay it; a clean sweep scans for free.
+/// (`safe == false`: broken agreement or validity).
 pub fn scan_safety(specs: &[ScenarioSpec], results: &ResultsFrame) -> Vec<SafetyViolation> {
     let mut violations = Vec::new();
     for (i, spec) in specs.iter().enumerate() {
-        let frame = results.spec(i);
-        let mut canary = None;
-        for idx in 0..frame.len() {
+        for idx in 0..results.spec(i).len() {
             let cell = results.cell_result(i, idx);
-            if cell.safe {
-                continue;
+            if !cell.safe {
+                violations.push(SafetyViolation {
+                    spec: spec.name.clone(),
+                    case: cell.case,
+                    cell_seed: cell.cell_seed,
+                });
             }
-            let canary = *canary.get_or_insert_with(|| spec.canary_fingerprint());
-            let key = CellKey::derive(
-                spec.params_fingerprint(),
-                cell.case,
-                cell.cell_seed,
-                canary,
-                spec.probes.fingerprint(),
-            );
-            violations.push(SafetyViolation {
-                spec: spec.name.clone(),
-                case: cell.case,
-                cell_seed: cell.cell_seed,
-                cell_key: key.to_hex(),
-            });
         }
     }
     violations
@@ -148,52 +133,6 @@ pub struct SweepSummary {
 }
 
 impl SweepSummary {
-    /// Runs the standard registry at `scale` through `runner` (which
-    /// consults the installed result cache, if any) and summarizes it.
-    pub fn measure(scale: Scale, runner: &SweepRunner) -> SweepSummary {
-        SweepSummary::measure_gated(scale, runner).0
-    }
-
-    /// As [`SweepSummary::measure`], additionally scanning every cell for
-    /// safety violations ([`scan_safety`]) — the pair `--check` consumes,
-    /// so the gate sees the exact frame the summary was computed from.
-    pub fn measure_gated(
-        scale: Scale,
-        runner: &SweepRunner,
-    ) -> (SweepSummary, Vec<SafetyViolation>) {
-        let registry = Registry::standard(scale);
-        let results = runner.run(registry.specs());
-        (
-            SweepSummary::from_results(scale, registry.specs(), &results),
-            scan_safety(registry.specs(), &results),
-        )
-    }
-
-    /// As [`SweepSummary::measure`], but every cell runs on the engine's
-    /// *traced* path — including outcome-only specs that would normally
-    /// opt out — always freshly executed (the cache stores default-path
-    /// measurements; serving them here would defeat the point). Since
-    /// traced and untraced executions are identical, the summary must
-    /// equal the committed golden file — any difference is
-    /// trace-representation or probe-path drift.
-    pub fn measure_traced(scale: Scale, runner: &SweepRunner) -> SweepSummary {
-        SweepSummary::measure_traced_gated(scale, runner).0
-    }
-
-    /// As [`SweepSummary::measure_traced`], with the safety scan of
-    /// [`SweepSummary::measure_gated`].
-    pub fn measure_traced_gated(
-        scale: Scale,
-        runner: &SweepRunner,
-    ) -> (SweepSummary, Vec<SafetyViolation>) {
-        let registry = Registry::standard(scale);
-        let results = runner.run_fresh_traced(registry.specs());
-        (
-            SweepSummary::from_results(scale, registry.specs(), &results),
-            scan_safety(registry.specs(), &results),
-        )
-    }
-
     /// Summarizes an already-assembled results frame.
     pub fn from_results(
         scale: Scale,
@@ -284,7 +223,7 @@ impl SweepSummary {
             Some(v) if v == u64::from(FORMAT_VERSION) => {}
             Some(v) => {
                 return Err(format!(
-                    "golden summary format v{v}, this binary writes v{FORMAT_VERSION}: regenerate with --bless"
+                    "golden summary format v{v}, this binary writes v{FORMAT_VERSION}: regenerate with `run_experiments bless`"
                 ))
             }
             None => return Err("not a golden sweep summary (bad header)".to_string()),
@@ -391,10 +330,132 @@ impl SweepSummary {
     }
 }
 
+/// The post-measurement half of `check` and `bless`, applied to the
+/// summary and the safety violations of one sweep:
+///
+/// 1. the safety gate, first and unconditionally — every registry
+///    environment (fault-injection timelines included) is constructed so
+///    consensus safety holds, so a violated cell is a bug that must fail
+///    loudly and must never be blessed into a golden file;
+/// 2. the observed summary is recorded under `observed_dir` for CI
+///    artifact upload (best-effort: a failed write only warns);
+/// 3. with `bless`, the summary becomes the golden file under
+///    `golden_dir`; otherwise it is diffed against that file.
+///
+/// `Ok` carries the stdout line of a pass or a bless, `Err` the stderr
+/// report of a failure.
+pub fn gate(
+    scale: Scale,
+    observed: &SweepSummary,
+    violations: &[SafetyViolation],
+    bless: bool,
+    golden_dir: &Path,
+    observed_dir: &Path,
+) -> Result<String, String> {
+    if !violations.is_empty() {
+        let mut report = format!(
+            "check: {} cell(s) violated consensus safety (agreement/validity):",
+            violations.len()
+        );
+        for violation in violations {
+            report.push_str(&format!("\n  {violation}"));
+        }
+        return Err(report);
+    }
+    let file = golden_file_name(scale);
+    let json = observed.to_json();
+    let observed_path = observed_dir.join(file);
+    if let Err(err) = atomic_write(&observed_path, json.as_bytes()) {
+        eprintln!(
+            "check: could not record observed summary at {}: {err}",
+            observed_path.display()
+        );
+    }
+
+    let golden_path = golden_dir.join(file);
+    if bless {
+        atomic_write(&golden_path, json.as_bytes())
+            .map_err(|err| format!("bless: writing {} failed: {err}", golden_path.display()))?;
+        return Ok(format!(
+            "--bless: wrote {} spec summaries to {}",
+            observed.specs.len(),
+            golden_path.display()
+        ));
+    }
+    let text = fs::read_to_string(&golden_path).map_err(|err| {
+        format!(
+            "check: cannot read golden summary {}: {err}\n\
+             (generate it with `run_experiments bless{}`)",
+            golden_path.display(),
+            if scale == Scale::Quick {
+                " --quick"
+            } else {
+                ""
+            },
+        )
+    })?;
+    let expected = SweepSummary::parse(&text)
+        .map_err(|err| format!("check: {}: {err}", golden_path.display()))?;
+    let drift = expected.diff(observed);
+    if drift.is_empty() {
+        return Ok(format!(
+            "--check: {} specs match {}",
+            observed.specs.len(),
+            golden_path.display()
+        ));
+    }
+    let mut report = format!(
+        "check: {} drift(s) against {}:",
+        drift.len(),
+        golden_path.display()
+    );
+    for line in &drift {
+        report.push_str(&format!("\n  {line}"));
+    }
+    report.push_str("\n(if this change is intentional, regenerate with `bless`)");
+    Err(report)
+}
+
+/// Writes `bytes` to `path` atomically: the content goes to a sibling
+/// temp file (suffixed with this process id, so concurrent writers never
+/// share one), is fsynced, and is renamed over `path`; on Unix the parent
+/// directory is fsynced afterwards so the rename itself is durable. A
+/// kill at any instant leaves either the old file or the new one — never
+/// a torn mix — which is what lets `check` and `bless` be interrupted
+/// with impunity.
+fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
+    if let Some(dir) = dir {
+        fs::create_dir_all(dir)?;
+    }
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(format!(".tmp.{}", std::process::id()));
+    let tmp = PathBuf::from(tmp);
+    let write = (|| {
+        let mut file = fs::File::create(&tmp)?;
+        file.write_all(bytes)?;
+        file.sync_all()?;
+        fs::rename(&tmp, path)
+    })();
+    if write.is_err() {
+        let _ = fs::remove_file(&tmp);
+    }
+    write?;
+    #[cfg(unix)]
+    if let Some(dir) = dir {
+        // Durability of the rename, not correctness, so best-effort.
+        if let Ok(handle) = fs::File::open(dir) {
+            let _ = handle.sync_all();
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sweep::probe::{MetricRow, MetricValue};
+    use crate::sweep::runner::SweepRunner;
     use crate::sweep::spec::{lattice_specs, CellRow};
 
     fn summary() -> SweepSummary {
@@ -404,7 +465,7 @@ mod tests {
     }
 
     #[test]
-    fn scan_safety_reports_only_unsafe_cells_under_their_cache_keys() {
+    fn scan_safety_reports_only_unsafe_cells() {
         let specs = &lattice_specs(Scale::Quick)[..1];
         let spec = &specs[0];
         let rows: Vec<CellRow> = (0..3).map(|case| spec.run_cell(0, case)).collect();
@@ -436,19 +497,48 @@ mod tests {
         assert_eq!(v.spec, spec.name);
         assert_eq!(v.case, 1);
         assert_eq!(v.cell_seed, spec.cell_seed(1));
-        // The reported key is exactly the key the sweep cache stores the
-        // cell under, so the poisoned entry can be located directly.
-        let expected = CellKey::derive(
-            spec.params_fingerprint(),
-            1,
-            spec.cell_seed(1),
-            spec.canary_fingerprint(),
-            spec.probes.fingerprint(),
-        );
-        assert_eq!(v.cell_key, expected.to_hex());
         let line = v.to_string();
         assert!(line.contains(&spec.name), "{line}");
-        assert!(line.contains("cell-key"), "{line}");
+        assert_eq!(
+            line,
+            format!(
+                "spec `{}` case 1 seed {:#018x}",
+                spec.name,
+                spec.cell_seed(1)
+            )
+        );
+    }
+
+    #[test]
+    fn gate_blesses_then_passes_and_leaves_no_temp_files() {
+        let dir = std::env::temp_dir().join(format!("ccwan-golden-gate-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let (golden, observed) = (dir.join("golden"), dir.join("observed"));
+        let s = summary();
+        let missing = gate(Scale::Quick, &s, &[], false, &golden, &observed).unwrap_err();
+        assert!(
+            missing.contains("run_experiments bless --quick"),
+            "{missing}"
+        );
+        let blessed = gate(Scale::Quick, &s, &[], true, &golden, &observed).expect("bless");
+        assert!(
+            blessed.starts_with("--bless: wrote 2 spec summaries"),
+            "{blessed}"
+        );
+        let pass = gate(Scale::Quick, &s, &[], false, &golden, &observed).expect("check");
+        assert!(pass.starts_with("--check: 2 specs match"), "{pass}");
+        let file = golden_file_name(Scale::Quick);
+        for written in [golden.join(file), observed.join(file)] {
+            assert_eq!(fs::read_to_string(&written).expect("written"), s.to_json());
+        }
+        for sub in [&golden, &observed] {
+            let names: Vec<_> = fs::read_dir(sub)
+                .expect("read dir")
+                .map(|e| e.expect("entry").file_name())
+                .collect();
+            assert_eq!(names, [file], "no temp files may survive an atomic write");
+        }
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -505,7 +595,7 @@ mod tests {
             1,
         );
         let err = SweepSummary::parse(&future).unwrap_err();
-        assert!(err.contains("--bless"), "{err}");
+        assert!(err.contains("run_experiments bless"), "{err}");
     }
 
     #[test]
@@ -517,6 +607,6 @@ mod tests {
              {{\"name\":\"x\",\"cells\":5,\"safe\":5,\"terminated\":5,\"worst\":2,\"digest\":\"00000000000000aa\"}}\n]}}\n"
         );
         let err = SweepSummary::parse(&v1).unwrap_err();
-        assert!(err.contains("--bless"), "{err}");
+        assert!(err.contains("run_experiments bless"), "{err}");
     }
 }

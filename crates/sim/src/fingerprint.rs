@@ -1,18 +1,16 @@
-//! Stable content fingerprints for cell-level result caching.
+//! Stable content fingerprints of executions and results.
 //!
-//! The scenario-sweep cache (in `wan-bench`) addresses stored results by
-//! the *content* of the cell that produced them: the spec parameters, the
-//! derived seed, and — so that engine/algorithm code changes invalidate
-//! stale entries — a fingerprint of a reference execution trace. That last
-//! piece lives here, next to [`crate::ExecutionTrace`], because it must
-//! observe every field a trace records.
+//! The golden sweep summaries (in `wan-bench`) and the replay pins of the
+//! test suite digest what a cell *did*: its judged outcome, its metric
+//! columns, and its full execution trace. The trace fingerprint lives
+//! here, next to [`crate::ExecutionTrace`], because it must observe every
+//! field a trace records.
 //!
 //! The hash is FNV-1a (64-bit): dependency-free, byte-order independent,
 //! and — unlike [`std::hash::DefaultHasher`] — **stable across processes,
-//! platforms, and std releases**, which is what makes it safe to persist
-//! in on-disk cache keys. It is *not* collision-resistant against an
-//! adversary; cache keys mix several independent lanes to keep accidental
-//! collisions negligible.
+//! platforms, and std releases**, which is what makes it safe to commit
+//! in golden files and test literals. It is *not* collision-resistant
+//! against an adversary.
 
 use std::fmt::{self, Write};
 

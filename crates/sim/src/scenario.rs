@@ -6,8 +6,8 @@
 //! environment *shifts under* the algorithm — crash bursts, staggered
 //! wake-up waves, loss-rate swaps, partition splits and heals, collision
 //! detector degradation, contention-regime changes. Events are plain `Copy`
-//! data (no closures), so a timeline fingerprints into experiment cache keys
-//! like every other spec field and replays bit-identically.
+//! data (no closures), so a timeline is part of a spec like every other
+//! field and replays bit-identically.
 //!
 //! A timeline is *compiled* ([`ScenarioTimeline::compile`]) into a dense
 //! per-round [`CompiledSchedule`] the engine consults at the top of every

@@ -9,12 +9,14 @@
 //! 2. Live traced cells of **all six scenario families** fingerprint
 //!    identically under both representations
 //!    (`ScenarioSpec::trace_reference_fingerprints`).
-//! 3. Hard-coded canary fingerprints captured from the *pre-refactor*
-//!    (retained-record) implementation: if these drift, cached sweep
-//!    results would be invalidated and the replay-determinism contract
-//!    broken — regenerating them is a semantic change, not a refresh.
+//! 3. Hard-coded family fingerprints captured from the *pre-refactor*
+//!    (retained-record) implementation. They pin the trace format itself:
+//!    if these drift, the recorded rounds of an unchanged cell changed, so
+//!    every golden digest computed from traced probes is suspect and the
+//!    replay-determinism contract is broken — regenerating them is a
+//!    semantic change, not a refresh.
 
-use ccwan::bench::sweep::Registry;
+use ccwan::bench::sweep::{Registry, ScenarioSpec};
 use ccwan::bench::Scale;
 use ccwan::sim::trace::reference::ReferenceTrace;
 use ccwan::sim::{
@@ -22,9 +24,10 @@ use ccwan::sim::{
 };
 use proptest::prelude::*;
 
-/// One spec per scenario family, with its canary fingerprint and the FNV
-/// hash of its cell-0 traced debug rendering, both captured from the
-/// retained-record implementation before the columnar refactor landed.
+/// One spec per scenario family, with its family fingerprint
+/// ([`family_fingerprint`]) and the FNV hash of its cell-0 traced debug
+/// rendering, both captured from the retained-record implementation
+/// before the columnar refactor landed.
 const FAMILY_PINS: [(&str, u64, u64); 6] = [
     ("lattice/maj-AC", 0x932cbcf912a31b7a, 0xb729569ed1dcb5c0),
     ("alg1/n4-v16", 0xc79a5c6ccd325a1b, 0x9cf4b8552e64273e),
@@ -49,16 +52,32 @@ fn all_six_families_fingerprint_like_the_reference_builder() {
     }
 }
 
+/// A digest of the traced executions of cells 0 and 1: per cell, the FNV
+/// hash of the judged outcome's debug rendering (the first line of
+/// [`ScenarioSpec::trace_fingerprint`]) extended with the trace content
+/// fingerprint, and the two per-cell digests hashed together.
+fn family_fingerprint(spec: &ScenarioSpec) -> u64 {
+    let mut outer = StableHasher::new();
+    for case in 0..2 {
+        let rendering = spec.trace_fingerprint(case);
+        let outcome = rendering.lines().next().expect("outcome line");
+        let mut inner = StableHasher::new();
+        inner.write_bytes(outcome.as_bytes());
+        inner.write_u64(spec.trace_reference_fingerprints(case).0);
+        outer.write_u64(inner.finish());
+    }
+    outer.finish()
+}
+
 #[test]
 fn family_fingerprints_match_pre_refactor_values() {
     let registry = Registry::standard(Scale::Quick);
-    for (name, canary, trace_hash) in FAMILY_PINS {
+    for (name, family, trace_hash) in FAMILY_PINS {
         let spec = registry.get(name).expect("pinned spec in registry");
         assert_eq!(
-            spec.canary_fingerprint(),
-            canary,
-            "{name}: canary fingerprint drifted from the pre-refactor pin \
-             (this invalidates every cached sweep result of the spec)"
+            family_fingerprint(spec),
+            family,
+            "{name}: family fingerprint drifted from the pre-refactor pin"
         );
         assert_eq!(
             StableHasher::hash_str(&spec.trace_fingerprint(0)),
