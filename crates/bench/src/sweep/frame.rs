@@ -1,15 +1,12 @@
 //! The columnar sweep result frame: struct-of-arrays metric columns per
 //! spec, mirroring the trace arena's representation discipline.
 //!
-//! A sweep used to produce a `Vec<CellResult>` — one owned struct per
-//! cell, four hard-coded fields. A [`ResultsFrame`] instead holds, per
-//! spec, one typed column per [`MetricId`] the spec's probe manifest
-//! emitted ([`MetricColumn`] — `Vec<u64>`, `Vec<Option<u64>>`, …), plus
-//! the cell coordinate columns (case, derived seed). Summary and
-//! percentile accessors on the columns replace the ad-hoc aggregation the
-//! golden gate and the experiment tables used to hand-roll; the legacy
-//! [`CellResult`] remains available through the bit-compatible
-//! [`ResultsFrame::cell_result`] accessor, derived from the core columns.
+//! A [`ResultsFrame`] holds, per spec, one typed column per [`MetricId`]
+//! the spec's probe manifest emitted ([`MetricColumn`] — `Vec<u64>`,
+//! `Vec<Option<u64>>`, …), plus the cell coordinate columns (case, derived
+//! seed). Summary and percentile accessors on the columns serve the
+//! golden gate and the experiment tables; [`SpecFrame::core`] gives the
+//! four core outcome columns every manifest emits, typed.
 //!
 //! Frames are deterministic down to the byte: columns are in ascending
 //! [`MetricId`] order, rows in cell order, and every value is an exact
@@ -18,7 +15,7 @@
 //! across serial/parallel runs and across processes.
 
 use super::probe::{MetricId, MetricRow, MetricValue};
-use super::spec::{CellResult, CellRow, ScenarioSpec};
+use super::spec::{CellRow, ScenarioSpec};
 use wan_sim::fingerprint::{absorb_debug, StableHasher};
 
 /// One metric across all cells of a spec, stored as a typed array. The
@@ -134,6 +131,22 @@ impl MetricColumn {
     }
 }
 
+/// The core outcome columns of one spec ([`super::probe::ProbeKind::Core`],
+/// which every manifest includes), typed and in cell order.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CoreColumns<'a> {
+    /// [`MetricId::Reference`]: the measurement reference round.
+    pub reference: &'a [u64],
+    /// [`MetricId::LastDecision`]: the last decision round, if every
+    /// correct process decided.
+    pub last_decision: &'a [Option<u64>],
+    /// [`MetricId::Terminated`]: every correct process decided within the
+    /// cap.
+    pub terminated: &'a [bool],
+    /// [`MetricId::Safe`]: agreement and validity held.
+    pub safe: &'a [bool],
+}
+
 /// All cells of one spec, as columns.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpecFrame {
@@ -218,6 +231,36 @@ impl SpecFrame {
             .map(|(_, col)| col)
     }
 
+    /// The core outcome columns, each looked up once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a non-empty spec lacks a core column (rows produced by
+    /// the sweep always have them).
+    pub fn core(&self) -> CoreColumns<'_> {
+        use MetricColumn::{Bool, OptU64, U64};
+        match (
+            self.column(MetricId::Reference),
+            self.column(MetricId::LastDecision),
+            self.column(MetricId::Terminated),
+            self.column(MetricId::Safe),
+        ) {
+            (
+                Some(U64(reference)),
+                Some(OptU64(last_decision)),
+                Some(Bool(terminated)),
+                Some(Bool(safe)),
+            ) => CoreColumns {
+                reference,
+                last_decision,
+                terminated,
+                safe,
+            },
+            _ if self.is_empty() => CoreColumns::default(),
+            _ => panic!("spec {} is missing a core metric column", self.name),
+        }
+    }
+
     /// Cell `idx`'s metrics, reassembled into a row.
     pub fn row(&self, idx: usize) -> MetricRow {
         let mut row = MetricRow::new();
@@ -247,9 +290,7 @@ impl SpecFrame {
 }
 
 /// The outcome of a sweep: one [`SpecFrame`] per input spec, in spec
-/// order. Replaces the flat `Vec<CellResult>` of the pre-probe API; the
-/// legacy view is served by [`ResultsFrame::cell_result`] /
-/// [`ResultsFrame::cell_results`].
+/// order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResultsFrame {
     specs: Vec<SpecFrame>,
@@ -281,64 +322,28 @@ impl ResultsFrame {
         self.specs.iter().map(SpecFrame::len).sum()
     }
 
-    /// The legacy [`CellResult`] of one cell, bit-compatible with what
-    /// `run_cell` returned before the probe redesign — derived from the
-    /// core metric columns.
-    pub fn cell_result(&self, spec_index: usize, idx: usize) -> CellResult {
-        let spec = &self.specs[spec_index];
-        let u64_of = |id: MetricId| match spec.column(id) {
-            Some(MetricColumn::U64(col)) => col[idx],
-            _ => panic!("core metric {} missing from spec {}", id, spec.name),
-        };
-        let bool_of = |id: MetricId| match spec.column(id) {
-            Some(MetricColumn::Bool(col)) => col[idx],
-            _ => panic!("core metric {} missing from spec {}", id, spec.name),
-        };
-        let last_decision = match spec.column(MetricId::LastDecision) {
-            Some(MetricColumn::OptU64(col)) => col[idx],
-            _ => panic!("core metric last_decision missing from spec {}", spec.name),
-        };
-        CellResult {
-            spec_index,
-            case: spec.cases[idx],
-            cell_seed: spec.seeds[idx],
-            reference: u64_of(MetricId::Reference),
-            last_decision,
-            terminated: bool_of(MetricId::Terminated),
-            safe: bool_of(MetricId::Safe),
-        }
-    }
-
-    /// Every cell's legacy result, in canonical cell order.
-    pub fn cell_results(&self) -> Vec<CellResult> {
-        (0..self.specs.len())
-            .flat_map(|s| (0..self.specs[s].len()).map(move |i| (s, i)))
-            .map(|(s, i)| self.cell_result(s, i))
-            .collect()
-    }
-
     /// The worst (max) rounds past the measurement reference across a
     /// spec's cells; panics on any safety violation or non-termination so
-    /// experiment tables can't silently hide broken runs. (The saturating
-    /// legacy statistic — see [`MetricId::DecisionLatency`] for the
-    /// signed distance.)
+    /// experiment tables can't silently hide broken runs. (Saturating: a
+    /// decision before the reference counts as 0 — see
+    /// [`MetricId::DecisionLatency`] for the signed distance.)
     pub fn worst_rounds_past(&self, spec_index: usize) -> u64 {
         let spec = &self.specs[spec_index];
         assert!(!spec.is_empty(), "spec {spec_index} has no cells");
+        let core = spec.core();
         let mut worst = 0;
         for idx in 0..spec.len() {
-            let cell = self.cell_result(spec_index, idx);
+            let (case, seed) = (spec.cases[idx], spec.seeds[idx]);
             assert!(
-                cell.safe,
-                "safety violation in spec {spec_index} cell {} (seed {})",
-                cell.case, cell.cell_seed
+                core.safe[idx],
+                "safety violation in spec {spec_index} cell {case} (seed {seed})"
             );
             assert!(
-                cell.terminated,
-                "non-termination in spec {spec_index} cell {} (seed {})",
-                cell.case, cell.cell_seed
+                core.terminated[idx],
+                "non-termination in spec {spec_index} cell {case} (seed {seed})"
             );
-            worst = worst.max(cell.rounds_past_reference().unwrap_or(0));
+            let decided = core.last_decision[idx].unwrap_or(0);
+            worst = worst.max(decided.saturating_sub(core.reference[idx]));
         }
         worst
     }
@@ -419,11 +424,13 @@ mod tests {
         for (id, value) in row.iter() {
             assert_eq!(spec.column(id).unwrap().value(1), value);
         }
-        // The compat accessor matches the legacy accessor's semantics.
-        let cell = frame.cell_result(0, 1);
-        assert_eq!(cell.case, spec.cases()[1]);
-        assert_eq!(cell.cell_seed, spec.seeds()[1]);
-        assert!(cell.safe && cell.terminated);
+        // The typed core view reads the same columns.
+        let core = spec.core();
+        assert_eq!(
+            row.get(MetricId::Reference),
+            Some(MetricValue::U64(core.reference[1]))
+        );
+        assert!(core.safe[1] && core.terminated[1]);
         // Digest sensitivity: the same sweep re-run digests identically...
         let again = SweepRunner::serial().run_fresh(specs);
         assert_eq!(frame, again);

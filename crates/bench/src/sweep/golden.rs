@@ -10,10 +10,10 @@
 //! summary record, then bless or compare.
 //!
 //! The summary is deliberately cell-exact at two depths: each spec row
-//! carries the legacy stable FNV digest over every cell's core result
+//! carries a stable FNV digest over every cell's core outcome columns
 //! (continuity with the pre-probe gate) **and** a frame digest over every
 //! metric column the spec's probe manifest emitted — so the gate catches
-//! drift in any probe measurement, not just the four legacy fields, while
+//! drift in any probe measurement, not just the four core metrics, while
 //! the committed file stays a reviewable handful of lines per spec.
 
 use super::frame::ResultsFrame;
@@ -79,13 +79,13 @@ impl std::fmt::Display for SafetyViolation {
 pub fn scan_safety(specs: &[ScenarioSpec], results: &ResultsFrame) -> Vec<SafetyViolation> {
     let mut violations = Vec::new();
     for (i, spec) in specs.iter().enumerate() {
-        for idx in 0..results.spec(i).len() {
-            let cell = results.cell_result(i, idx);
-            if !cell.safe {
+        let frame = results.spec(i);
+        for (idx, &safe) in frame.core().safe.iter().enumerate() {
+            if !safe {
                 violations.push(SafetyViolation {
                     spec: spec.name.clone(),
-                    case: cell.case,
-                    cell_seed: cell.cell_seed,
+                    case: frame.cases()[idx],
+                    cell_seed: frame.seeds()[idx],
                 });
             }
         }
@@ -105,7 +105,7 @@ pub struct SpecSummary {
     /// How many cells terminated within the cap.
     pub terminated: u64,
     /// Worst rounds past the measurement reference, over deciding cells
-    /// (the saturating legacy statistic).
+    /// (saturating: a decision before the reference counts as 0).
     pub worst_rounds_past: Option<u64>,
     /// Worst *signed* decision latency (`max` of the `decision_latency`
     /// metric over deciding cells — can be negative when every decision
@@ -114,9 +114,9 @@ pub struct SpecSummary {
     /// Total broadcasts across the spec's cells (`None` for outcome-only
     /// manifests, which record no round-derived metrics).
     pub broadcasts: Option<u64>,
-    /// Stable digest over every cell's core result (order-sensitive,
-    /// independent of the spec's position in the registry) — the legacy
-    /// lane.
+    /// Stable digest over every cell's coordinates and core outcome
+    /// columns (order-sensitive, independent of the spec's position in the
+    /// registry).
     pub digest: u64,
     /// Stable digest over the spec's full metric columns
     /// (`SpecFrame::digest`) — catches drift in any probe measurement.
@@ -155,21 +155,24 @@ impl SweepSummary {
                     digest: 0,
                     frame_digest: frame.digest(),
                 };
+                let core = frame.core();
                 let mut h = StableHasher::new();
                 for idx in 0..frame.len() {
-                    let cell = results.cell_result(i, idx);
-                    row.safe += u64::from(cell.safe);
-                    row.terminated += u64::from(cell.terminated);
-                    if let Some(past) = cell.rounds_past_reference() {
+                    let (safe, terminated) = (core.safe[idx], core.terminated[idx]);
+                    let (reference, last_decision) = (core.reference[idx], core.last_decision[idx]);
+                    row.safe += u64::from(safe);
+                    row.terminated += u64::from(terminated);
+                    if let Some(decided) = last_decision {
+                        let past = decided.saturating_sub(reference);
                         row.worst_rounds_past =
                             Some(row.worst_rounds_past.map_or(past, |w| w.max(past)));
                     }
-                    h.write_u64(cell.case);
-                    h.write_u64(cell.cell_seed);
-                    h.write_u64(cell.reference);
-                    h.write_u64(cell.last_decision.map_or(u64::MAX, |d| d));
-                    h.write_u64(u64::from(cell.terminated));
-                    h.write_u64(u64::from(cell.safe));
+                    h.write_u64(frame.cases()[idx]);
+                    h.write_u64(frame.seeds()[idx]);
+                    h.write_u64(reference);
+                    h.write_u64(last_decision.map_or(u64::MAX, |d| d));
+                    h.write_u64(u64::from(terminated));
+                    h.write_u64(u64::from(safe));
                 }
                 row.digest = h.finish();
                 row.worst_latency = frame
@@ -575,7 +578,7 @@ mod tests {
     #[test]
     fn frame_digest_moves_with_probe_metrics_the_core_digest_ignores() {
         // Two summaries of the same specs where only a round-derived
-        // metric differs would agree on the legacy digest but disagree on
+        // metric differs would agree on the core digest but disagree on
         // the frame digest — simulate by perturbing the frame lane only.
         let golden = summary();
         let mut observed = golden.clone();

@@ -25,8 +25,8 @@
 //! * [`frame`] — the columnar [`ResultsFrame`]: struct-of-arrays metric
 //!   columns per spec (mirroring the trace arena), with
 //!   summary/percentile accessors replacing ad-hoc aggregation in the
-//!   golden gate and the experiment tables. The legacy [`CellResult`]
-//!   survives as a bit-compatible accessor derived from the core columns.
+//!   golden gate and the experiment tables, and a typed view of the core
+//!   outcome columns ([`SpecFrame::core`]).
 //! * [`SweepRunner`] — a work-stealing fan-out over OS threads
 //!   (`std::thread::scope`; the environment is offline so rayon is not
 //!   available, and the dependency-free pool below is all the sweep
@@ -51,13 +51,12 @@ pub mod probe;
 pub mod runner;
 pub mod spec;
 
-pub use frame::{MetricColumn, ResultsFrame, SpecFrame};
+pub use frame::{CoreColumns, MetricColumn, ResultsFrame, SpecFrame};
 pub use golden::{scan_safety, SafetyViolation, SweepSummary};
 pub use probe::{
     CellEnd, MetricId, MetricRow, MetricValue, Probe, ProbeKind, ProbeManifest, ProbeSet,
 };
 pub use runner::SweepRunner;
 pub use spec::{
-    AbsMacPlan, Algorithm, CellResult, CellRow, ChurnPlan, CrashPlan, EnvironmentPlan, Registry,
-    ScenarioSpec,
+    AbsMacPlan, Algorithm, CellRow, ChurnPlan, CrashPlan, EnvironmentPlan, Registry, ScenarioSpec,
 };

@@ -4,10 +4,7 @@
 //!
 //! Every claim the paper makes is a *measurement over executions* —
 //! decision rounds past the stabilization reference, broadcast and
-//! contention counts, collision-detector accuracy, crash impact. Before
-//! this module, the sweep substrate could only report the four hard-coded
-//! fields of the legacy `CellResult`, so every richer experiment
-//! hand-rolled its own loops outside the gated sweep path. A
+//! contention counts, collision-detector accuracy, crash impact. A
 //! [`Probe`] turns one such measurement into a reusable component:
 //!
 //! * [`Probe::observe`] is called once per recorded round with the
@@ -50,8 +47,7 @@ pub enum MetricId {
     Safe,
     /// Signed distance `last_decision − reference`: negative when the
     /// decision landed *before* the reference round — the value the
-    /// legacy saturating `CellResult::rounds_past_reference` cannot
-    /// express.
+    /// saturating `ResultsFrame::worst_rounds_past` cannot express.
     DecisionLatency,
     /// Rounds the engine executed (equals the cap for non-terminating
     /// cells).
@@ -358,8 +354,8 @@ pub trait Probe<M: Ord> {
 /// per-round views).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ProbeKind {
-    /// The legacy `CellResult` fields: reference, last decision,
-    /// termination, safety, rounds executed. Outcome-only (no trace
+    /// The core outcome: reference, last decision, termination, safety,
+    /// rounds executed. Outcome-only (no trace
     /// needed).
     Core,
     /// Signed `last_decision − reference` distance. Outcome-only.
@@ -490,7 +486,8 @@ impl ProbeManifest {
     }
 
     /// An explicit selection. [`ProbeKind::Core`] is always included —
-    /// the legacy `CellResult` compatibility accessor needs its metrics.
+    /// the safety gate and the golden summary read its metrics
+    /// (`SpecFrame::core`).
     pub fn of(kinds: &[ProbeKind]) -> ProbeManifest {
         let mut kinds = kinds.to_vec();
         kinds.push(ProbeKind::Core);
@@ -613,7 +610,7 @@ impl<M: Ord> fmt::Debug for ProbeSet<M> {
     }
 }
 
-/// [`ProbeKind::Core`]: the legacy `CellResult` fields as metrics.
+/// [`ProbeKind::Core`]: the cell's judged outcome as metrics.
 struct CoreOutcome;
 
 impl<M: Ord> Probe<M> for CoreOutcome {

@@ -26,5 +26,8 @@ fn absmac_sweeps_are_order_independent_and_safe() {
         scan_safety(&specs, &serial).is_empty(),
         "no MAC delay policy within the envelopes may break agreement/validity"
     );
-    assert!(serial.cell_results().iter().all(|cell| cell.terminated));
+    assert!(serial
+        .specs()
+        .iter()
+        .all(|spec| spec.core().terminated.iter().all(|&t| t)));
 }

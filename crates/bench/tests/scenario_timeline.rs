@@ -111,6 +111,8 @@ fn churn_sweeps_are_order_independent_and_safe() {
     );
     // The timelines actually did something: the baseline spec is the only
     // one with zero crashes everywhere.
-    let results = serial.cell_results();
-    assert!(results.iter().all(|cell| cell.terminated));
+    assert!(serial
+        .specs()
+        .iter()
+        .all(|spec| spec.core().terminated.iter().all(|&t| t)));
 }

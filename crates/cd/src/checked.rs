@@ -164,6 +164,7 @@ mod tests {
     use crate::scripted::ScriptedDetector;
     use crate::trivial::NoCdDetector;
     use proptest::prelude::*;
+    use wan_sim::testing::advise_cd;
 
     fn tx(c: usize, t: Vec<usize>) -> TransmissionEntry {
         TransmissionEntry {
@@ -176,7 +177,7 @@ mod tests {
     fn clean_detector_produces_no_violations() {
         let mut d = CheckedDetector::new(ClassDetector::perfect(), CdClass::AC).strict();
         for r in 1..10u64 {
-            d.advise(Round(r), &tx(3, vec![3, 2, 0]));
+            advise_cd(&mut d, Round(r), &tx(3, vec![3, 2, 0]));
         }
         assert!(d.violations().is_empty());
     }
@@ -190,7 +191,7 @@ mod tests {
             ScriptedDetector::new(script, Box::new(ClassDetector::perfect())),
             CdClass::ZERO_AC,
         );
-        d.advise(Round(1), &tx(2, vec![0]));
+        advise_cd(&mut d, Round(1), &tx(2, vec![0]));
         assert_eq!(d.violations().len(), 1);
         assert_eq!(d.violations()[0].kind, ViolationKind::MissedCollision);
         let msg = d.violations()[0].to_string();
@@ -201,7 +202,7 @@ mod tests {
     fn false_positive_is_caught_for_accurate_class() {
         let mut d = CheckedDetector::new(NoCdDetector, CdClass::ZERO_AC);
         // NoCD reports ± even though everyone received everything.
-        d.advise(Round(1), &tx(1, vec![1, 1]));
+        advise_cd(&mut d, Round(1), &tx(1, vec![1, 1]));
         assert_eq!(d.violations().len(), 2);
         assert!(d
             .violations()
@@ -214,7 +215,7 @@ mod tests {
         // Lemma 1: the trivial detector never violates NoACC.
         let mut d = CheckedDetector::new(NoCdDetector, CdClass::NO_ACC).strict();
         for c in 0..4usize {
-            d.advise(Round(1), &tx(c, vec![c.min(1); 3]));
+            advise_cd(&mut d, Round(1), &tx(c, vec![c.min(1); 3]));
         }
         assert!(d.violations().is_empty());
     }
@@ -223,7 +224,7 @@ mod tests {
     #[should_panic(expected = "violated")]
     fn strict_mode_panics() {
         let mut d = CheckedDetector::new(NoCdDetector, CdClass::AC).strict();
-        d.advise(Round(1), &tx(0, vec![0]));
+        advise_cd(&mut d, Round(1), &tx(0, vec![0]));
     }
 
     proptest! {
@@ -248,7 +249,7 @@ mod tests {
             let mut d = CheckedDetector::new(inner, class).strict();
             for (r, (c, t_raw)) in rounds.into_iter().enumerate() {
                 let t = t_raw.min(c);
-                d.advise(Round(r as u64 + 1), &tx(c, vec![t]));
+                advise_cd(&mut d, Round(r as u64 + 1), &tx(c, vec![t]));
             }
             prop_assert!(d.violations().is_empty());
         }
@@ -268,7 +269,7 @@ mod tests {
             let mut checked = CheckedDetector::new(det, outer_class);
             for (r, (c, t_raw)) in rounds.into_iter().enumerate() {
                 let t = t_raw.min(c);
-                checked.advise(Round(r as u64 + 1), &tx(c, vec![t]));
+                advise_cd(&mut checked, Round(r as u64 + 1), &tx(c, vec![t]));
             }
             prop_assert!(checked.violations().is_empty());
         }

@@ -82,6 +82,7 @@ mod tests {
     use super::*;
     use crate::class::CdClass;
     use crate::detector::{ClassDetector, FreedomPolicy};
+    use wan_sim::testing::advise_cd;
 
     fn stages() -> Vec<ClassDetector> {
         vec![
@@ -103,12 +104,12 @@ mod tests {
         let mut cd = Degrading::new(stages());
         assert_eq!(cd.active_stage(), 0);
         // Majority-complete stage must report when a majority was lost...
-        let advice = cd.advise(Round(1), &tx(3, vec![1, 1]));
+        let advice = advise_cd(&mut cd, Round(1), &tx(3, vec![1, 1]));
         assert!(advice.iter().all(|a| a.is_collision()));
         // ...the zero-complete stage is only obliged when everything is.
         cd.apply_event(Round(2), ScenarioEvent::CdSwitch { slot: 1 });
         assert_eq!(cd.active_stage(), 1);
-        let advice = cd.advise(Round(2), &tx(3, vec![1, 1]));
+        let advice = advise_cd(&mut cd, Round(2), &tx(3, vec![1, 1]));
         assert!(advice.iter().all(|a| !a.is_collision()));
         // Switching back upgrades again.
         cd.apply_event(Round(3), ScenarioEvent::CdSwitch { slot: 0 });

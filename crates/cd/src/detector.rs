@@ -40,12 +40,13 @@ pub enum FreedomPolicy {
 ///
 /// ```
 /// use wan_cd::{CdClass, ClassDetector, FreedomPolicy};
-/// use wan_sim::{CollisionDetector, CdAdvice, Round, TransmissionEntry};
+/// use wan_sim::testing::advise_cd;
+/// use wan_sim::{CdAdvice, Round, TransmissionEntry};
 ///
 /// let mut d = ClassDetector::perfect();
 /// let tx = TransmissionEntry { sent_count: 2, received: vec![2, 1] };
 /// assert_eq!(
-///     d.advise(Round(1), &tx),
+///     advise_cd(&mut d, Round(1), &tx),
 ///     vec![CdAdvice::Null, CdAdvice::Collision],
 /// );
 /// ```
@@ -138,6 +139,7 @@ impl CollisionDetector for ClassDetector {
 mod tests {
     use super::*;
     use crate::class::Completeness;
+    use wan_sim::testing::advise_cd;
 
     fn tx(c: usize, t: Vec<usize>) -> TransmissionEntry {
         TransmissionEntry {
@@ -149,7 +151,7 @@ mod tests {
     #[test]
     fn perfect_detector_is_exact() {
         let mut d = ClassDetector::perfect();
-        let advice = d.advise(Round(1), &tx(3, vec![3, 2, 0]));
+        let advice = advise_cd(&mut d, Round(1), &tx(3, vec![3, 2, 0]));
         assert_eq!(
             advice,
             vec![CdAdvice::Null, CdAdvice::Collision, CdAdvice::Collision]
@@ -160,7 +162,7 @@ mod tests {
     #[test]
     fn zero_complete_quiet_only_reports_total_loss() {
         let mut d = ClassDetector::new(CdClass::ZERO_AC, FreedomPolicy::Quiet, 0);
-        let advice = d.advise(Round(1), &tx(3, vec![3, 1, 0]));
+        let advice = advise_cd(&mut d, Round(1), &tx(3, vec![3, 1, 0]));
         assert_eq!(
             advice,
             vec![CdAdvice::Null, CdAdvice::Null, CdAdvice::Collision]
@@ -172,10 +174,10 @@ mod tests {
         let mut d = ClassDetector::new(CdClass::ZERO_EV_AC, FreedomPolicy::Noisy, 0)
             .accurate_from(Round(10));
         // Before r_acc: even a process that received everything gets ±.
-        let advice = d.advise(Round(1), &tx(2, vec![2, 1]));
+        let advice = advise_cd(&mut d, Round(1), &tx(2, vec![2, 1]));
         assert_eq!(advice, vec![CdAdvice::Collision, CdAdvice::Collision]);
         // From r_acc on: accuracy kicks in for the full receiver.
-        let advice = d.advise(Round(10), &tx(2, vec![2, 1]));
+        let advice = advise_cd(&mut d, Round(10), &tx(2, vec![2, 1]));
         assert_eq!(advice[0], CdAdvice::Null);
         assert_eq!(advice[1], CdAdvice::Collision, "still free to report");
         assert_eq!(d.accuracy_from(), Some(Round(10)));
@@ -187,10 +189,13 @@ mod tests {
         let mut maj = ClassDetector::new(CdClass::MAJ_AC, FreedomPolicy::Quiet, 0);
         let mut half = ClassDetector::new(CdClass::HALF_AC, FreedomPolicy::Quiet, 0);
         assert_eq!(
-            maj.advise(Round(1), &tx(4, vec![2]))[0],
+            advise_cd(&mut maj, Round(1), &tx(4, vec![2]))[0],
             CdAdvice::Collision
         );
-        assert_eq!(half.advise(Round(1), &tx(4, vec![2]))[0], CdAdvice::Null);
+        assert_eq!(
+            advise_cd(&mut half, Round(1), &tx(4, vec![2]))[0],
+            CdAdvice::Null
+        );
     }
 
     #[test]
@@ -202,8 +207,8 @@ mod tests {
         let (mut a, mut b) = (mk(), mk());
         for r in 1..50u64 {
             assert_eq!(
-                a.advise(Round(r), &tx(2, vec![2, 1, 0])),
-                b.advise(Round(r), &tx(2, vec![2, 1, 0]))
+                advise_cd(&mut a, Round(r), &tx(2, vec![2, 1, 0])),
+                advise_cd(&mut b, Round(r), &tx(2, vec![2, 1, 0]))
             );
         }
     }

@@ -105,6 +105,7 @@ impl CollisionDetector for OccasionalDetector {
 mod tests {
     use super::*;
     use crate::checked::CheckedDetector;
+    use wan_sim::testing::advise_cd;
 
     fn tx(c: usize, t: Vec<usize>) -> TransmissionEntry {
         TransmissionEntry {
@@ -118,7 +119,7 @@ mod tests {
         let det = OccasionalDetector::zero_sometimes_complete(0.5, 9);
         let mut checked = CheckedDetector::new(det, CdClass::ZERO_AC).strict();
         for r in 1..200u64 {
-            checked.advise(Round(r), &tx(3, vec![0, 1, 3]));
+            advise_cd(&mut checked, Round(r), &tx(3, vec![0, 1, 3]));
         }
         assert!(checked.violations().is_empty());
     }
@@ -131,7 +132,7 @@ mod tests {
         let mut reported = 0;
         let mut silent = 0;
         for r in 1..400u64 {
-            match det.advise(Round(r), &tx(3, vec![1]))[0] {
+            match advise_cd(&mut det, Round(r), &tx(3, vec![1]))[0] {
                 CdAdvice::Collision => reported += 1,
                 CdAdvice::Null => silent += 1,
             }
@@ -145,9 +146,12 @@ mod tests {
         let mut never = OccasionalDetector::zero_sometimes_complete(0.0, 1);
         let mut always = OccasionalDetector::zero_sometimes_complete(1.0, 1);
         for r in 1..50u64 {
-            assert_eq!(never.advise(Round(r), &tx(2, vec![1]))[0], CdAdvice::Null);
             assert_eq!(
-                always.advise(Round(r), &tx(2, vec![1]))[0],
+                advise_cd(&mut never, Round(r), &tx(2, vec![1]))[0],
+                CdAdvice::Null
+            );
+            assert_eq!(
+                advise_cd(&mut always, Round(r), &tx(2, vec![1]))[0],
                 CdAdvice::Collision
             );
         }

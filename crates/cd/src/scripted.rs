@@ -78,6 +78,7 @@ impl CollisionDetector for ScriptedDetector {
 mod tests {
     use super::*;
     use crate::detector::ClassDetector;
+    use wan_sim::testing::advise_cd;
 
     fn tx(c: usize, t: Vec<usize>) -> TransmissionEntry {
         TransmissionEntry {
@@ -95,16 +96,16 @@ mod tests {
         let mut d = ScriptedDetector::new(script, Box::new(ClassDetector::perfect()));
         assert_eq!(d.script_len(), 2);
         assert_eq!(
-            d.advise(Round(1), &tx(0, vec![0, 0])),
+            advise_cd(&mut d, Round(1), &tx(0, vec![0, 0])),
             vec![CdAdvice::Collision, CdAdvice::Null]
         );
         assert_eq!(
-            d.advise(Round(2), &tx(0, vec![0, 0])),
+            advise_cd(&mut d, Round(2), &tx(0, vec![0, 0])),
             vec![CdAdvice::Null, CdAdvice::Collision]
         );
         // Past the script: perfect-detector behaviour.
         assert_eq!(
-            d.advise(Round(3), &tx(2, vec![2, 1])),
+            advise_cd(&mut d, Round(3), &tx(2, vec![2, 1])),
             vec![CdAdvice::Null, CdAdvice::Collision]
         );
     }
@@ -124,6 +125,6 @@ mod tests {
             vec![vec![CdAdvice::Null]],
             Box::new(ClassDetector::perfect()),
         );
-        let _ = d.advise(Round(1), &tx(0, vec![0, 0]));
+        let _ = advise_cd(&mut d, Round(1), &tx(0, vec![0, 0]));
     }
 }

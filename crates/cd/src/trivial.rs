@@ -27,6 +27,7 @@ impl CollisionDetector for NoCdDetector {
 mod tests {
     use super::*;
     use crate::class::CdClass;
+    use wan_sim::testing::advise_cd;
 
     #[test]
     fn always_collision() {
@@ -35,7 +36,10 @@ mod tests {
             sent_count: 0,
             received: vec![0, 0, 0],
         };
-        assert_eq!(d.advise(Round(1), &tx), vec![CdAdvice::Collision; 3]);
+        assert_eq!(
+            advise_cd(&mut d, Round(1), &tx),
+            vec![CdAdvice::Collision; 3]
+        );
         assert_eq!(d.accuracy_from(), None);
     }
 

@@ -137,9 +137,27 @@ impl ContentionManager for BackoffCm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wan_sim::testing::advise_cm;
 
     fn all_true(n: usize) -> Vec<bool> {
         vec![true; n]
+    }
+
+    /// Round `r`'s advice with every process in `alive` also contending.
+    fn advise(cm: &mut BackoffCm, r: u64, alive: &[bool]) -> Vec<CmAdvice> {
+        let n = alive.len();
+        let view = CmView {
+            n,
+            alive,
+            contending: alive,
+        };
+        advise_cm(cm, Round(r), &view)
+    }
+
+    /// The processes advised active.
+    fn actives(advice: &[CmAdvice]) -> Vec<ProcessId> {
+        let active = advice.iter().enumerate().filter(|(_, a)| a.is_active());
+        active.map(|(i, _)| ProcessId(i)).collect()
     }
 
     fn tx(c: usize, n: usize) -> TransmissionEntry {
@@ -155,19 +173,8 @@ mod tests {
         let mut cm = BackoffCm::new(seed);
         let alive = all_true(n);
         for r in 1..=max_rounds {
-            let advice = cm.advise(
-                Round(r),
-                &CmView {
-                    n,
-                    alive: &alive,
-                    contending: &alive,
-                },
-            );
-            let senders: Vec<ProcessId> = advice
-                .iter()
-                .enumerate()
-                .filter_map(|(i, a)| a.is_active().then_some(ProcessId(i)))
-                .collect();
+            let advice = advise(&mut cm, r, &alive);
+            let senders = actives(&advice);
             cm.observe(Round(r), &tx(senders.len(), n), &senders);
             if let Some(l) = cm.leader() {
                 return Some((l, r));
@@ -193,19 +200,8 @@ mod tests {
         let alive = all_true(n);
         let mut locked = None;
         for r in 1..200u64 {
-            let advice = cm.advise(
-                Round(r),
-                &CmView {
-                    n,
-                    alive: &alive,
-                    contending: &alive,
-                },
-            );
-            let senders: Vec<ProcessId> = advice
-                .iter()
-                .enumerate()
-                .filter_map(|(i, a)| a.is_active().then_some(ProcessId(i)))
-                .collect();
+            let advice = advise(&mut cm, r, &alive);
+            let senders = actives(&advice);
             cm.observe(Round(r), &tx(senders.len(), n), &senders);
             if let Some(l) = cm.leader() {
                 if let Some(prev) = locked {
@@ -227,19 +223,8 @@ mod tests {
         let (leader, _) = {
             let mut r = 1u64;
             loop {
-                let advice = cm.advise(
-                    Round(r),
-                    &CmView {
-                        n,
-                        alive: &alive,
-                        contending: &alive,
-                    },
-                );
-                let senders: Vec<ProcessId> = advice
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, a)| a.is_active().then_some(ProcessId(i)))
-                    .collect();
+                let advice = advise(&mut cm, r, &alive);
+                let senders = actives(&advice);
                 cm.observe(Round(r), &tx(senders.len(), n), &senders);
                 if let Some(l) = cm.leader() {
                     break (l, r);
@@ -250,14 +235,7 @@ mod tests {
         // Kill the leader; the next advise must not select it.
         let mut now_alive = all_true(n);
         now_alive[leader.index()] = false;
-        let advice = cm.advise(
-            Round(1000),
-            &CmView {
-                n,
-                alive: &now_alive,
-                contending: &now_alive,
-            },
-        );
+        let advice = advise(&mut cm, 1000, &now_alive);
         assert!(!advice[leader.index()].is_active());
         assert_eq!(cm.leader(), None);
     }
@@ -272,14 +250,7 @@ mod tests {
         // Force a round where (by chance of the window) nobody is advised.
         let mut quiet_round_seen = false;
         for r in 1..300u64 {
-            let advice = cm.advise(
-                Round(r),
-                &CmView {
-                    n,
-                    alive: &alive,
-                    contending: &alive,
-                },
-            );
+            let advice = advise(&mut cm, r, &alive);
             if cm.leader().is_some() {
                 break;
             }
@@ -291,11 +262,7 @@ mod tests {
                 cm.observe(Round(r), &tx(n, n), &everyone);
                 assert_eq!(cm.window(), before, "storm moved the window");
             } else {
-                let senders: Vec<ProcessId> = advice
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, a)| a.is_active().then_some(ProcessId(i)))
-                    .collect();
+                let senders = actives(&advice);
                 cm.observe(Round(r), &tx(senders.len(), n), &senders);
             }
         }
@@ -308,14 +275,7 @@ mod tests {
         let mut cm = BackoffCm::new(0);
         let alive = all_true(n);
         for r in 1..2000u64 {
-            let advice = cm.advise(
-                Round(r),
-                &CmView {
-                    n,
-                    alive: &alive,
-                    contending: &alive,
-                },
-            );
+            let advice = advise(&mut cm, r, &alive);
             if advice.iter().any(|a| a.is_active()) {
                 // Always report a collision: adversarial channel.
                 let everyone: Vec<ProcessId> = (0..n).map(ProcessId).collect();
@@ -330,14 +290,7 @@ mod tests {
         let n = 2;
         let mut cm = BackoffCm::new(0);
         let alive = all_true(n);
-        let advice = cm.advise(
-            Round(1),
-            &CmView {
-                n,
-                alive: &alive,
-                contending: &alive,
-            },
-        );
+        let advice = advise(&mut cm, 1, &alive);
         // Suppose a process broadcast against passive advice.
         if let Some(passive) = advice.iter().position(|a| !a.is_active()) {
             cm.observe(Round(1), &tx(1, n), &[ProcessId(passive)]);

@@ -76,6 +76,7 @@ impl ContentionManager for KWakeUp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wan_sim::testing::advise_cm;
 
     fn actives(advice: &[CmAdvice]) -> Vec<usize> {
         advice
@@ -106,7 +107,7 @@ mod tests {
         ];
         for (r, want) in expected.into_iter().enumerate() {
             assert_eq!(
-                actives(&cm.advise(Round(r as u64 + 1), &view)),
+                actives(&advise_cm(&mut cm, Round(r as u64 + 1), &view)),
                 want,
                 "round {}",
                 r + 1
@@ -125,11 +126,11 @@ mod tests {
             contending: &alive,
         };
         for r in 1..=5u64 {
-            assert!(actives(&cm.advise(Round(r), &view)).is_empty());
+            assert!(actives(&advise_cm(&mut cm, Round(r), &view)).is_empty());
         }
-        assert_eq!(actives(&cm.advise(Round(6), &view)), vec![0]);
-        assert_eq!(actives(&cm.advise(Round(7), &view)), vec![1]);
-        assert!(actives(&cm.advise(Round(8), &view)).is_empty());
+        assert_eq!(actives(&advise_cm(&mut cm, Round(6), &view)), vec![0]);
+        assert_eq!(actives(&advise_cm(&mut cm, Round(7), &view)), vec![1]);
+        assert!(actives(&advise_cm(&mut cm, Round(8), &view)).is_empty());
     }
 
     #[test]
@@ -155,7 +156,7 @@ mod tests {
                 let horizon = offset + k * n as u64 + 2 * k;
                 let mut active_rounds: Vec<Vec<u64>> = vec![Vec::new(); n];
                 for r in 1..=horizon {
-                    let advice = cm.advise(Round(r), &view);
+                    let advice = advise_cm(&mut cm, Round(r), &view);
                     let act = actives(&advice);
                     prop_assert!(act.len() <= 1, "two active at round {r}");
                     if let Some(&i) = act.first() {

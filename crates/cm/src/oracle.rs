@@ -75,6 +75,16 @@ impl ContentionManager for FairWakeUp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wan_sim::testing::advise_cm;
+
+    fn view<'a>(alive: &'a [bool], contending: &'a [bool]) -> CmView<'a> {
+        let n = alive.len();
+        CmView {
+            n,
+            alive,
+            contending,
+        }
+    }
 
     fn actives(advice: &[CmAdvice]) -> Vec<usize> {
         advice
@@ -89,14 +99,7 @@ mod tests {
         let mut cm = FairWakeUp::immediate();
         let alive = [true, true, true];
         let contending = [false, true, true];
-        let advice = cm.advise(
-            Round(1),
-            &CmView {
-                n: 3,
-                alive: &alive,
-                contending: &contending,
-            },
-        );
+        let advice = advise_cm(&mut cm, Round(1), &view(&alive, &contending));
         assert_eq!(actives(&advice), vec![1]);
     }
 
@@ -105,24 +108,10 @@ mod tests {
         let mut cm = FairWakeUp::immediate();
         let alive = [false, true];
         let contending = [false, false];
-        let advice = cm.advise(
-            Round(1),
-            &CmView {
-                n: 2,
-                alive: &alive,
-                contending: &contending,
-            },
-        );
+        let advice = advise_cm(&mut cm, Round(1), &view(&alive, &contending));
         assert_eq!(actives(&advice), vec![1]);
         let none_alive = [false, false];
-        let advice = cm.advise(
-            Round(2),
-            &CmView {
-                n: 2,
-                alive: &none_alive,
-                contending: &none_alive,
-            },
-        );
+        let advice = advise_cm(&mut cm, Round(2), &view(&none_alive, &none_alive));
         assert_eq!(actives(&advice), vec![0]);
     }
 
@@ -130,14 +119,7 @@ mod tests {
     fn chaos_before_stabilization() {
         let mut cm = FairWakeUp::new(Round(5), PreStabilization::AllActive, 0);
         let alive = [true; 4];
-        let advice = cm.advise(
-            Round(4),
-            &CmView {
-                n: 4,
-                alive: &alive,
-                contending: &alive,
-            },
-        );
+        let advice = advise_cm(&mut cm, Round(4), &view(&alive, &alive));
         assert_eq!(actives(&advice).len(), 4);
         assert_eq!(cm.stabilized_from(), Some(Round(5)));
     }

@@ -205,6 +205,7 @@ impl ContentionManager for ScriptedCm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wan_sim::testing::advise_cm;
 
     fn view<'a>(n: usize, alive: &'a [bool], contending: &'a [bool]) -> CmView<'a> {
         CmView {
@@ -227,9 +228,9 @@ mod tests {
         let alive = [true; 4];
         let mut ws = WakeUpService::new(Round(3), ProcessId(2), PreStabilization::AllActive, 0);
         let v = view(4, &alive, &alive);
-        assert_eq!(actives(&ws.advise(Round(1), &v)).len(), 4);
-        assert_eq!(actives(&ws.advise(Round(3), &v)), vec![2]);
-        assert_eq!(actives(&ws.advise(Round(9), &v)), vec![2]);
+        assert_eq!(actives(&advise_cm(&mut ws, Round(1), &v)).len(), 4);
+        assert_eq!(actives(&advise_cm(&mut ws, Round(3), &v)), vec![2]);
+        assert_eq!(actives(&advise_cm(&mut ws, Round(9), &v)), vec![2]);
         assert_eq!(ws.stabilized_from(), Some(Round(3)));
     }
 
@@ -239,10 +240,10 @@ mod tests {
         let mut ws =
             WakeUpService::new(Round(1), ProcessId(0), PreStabilization::AllPassive, 0).rotating();
         let v = view(3, &alive, &alive);
-        assert_eq!(actives(&ws.advise(Round(1), &v)), vec![0]);
-        assert_eq!(actives(&ws.advise(Round(2), &v)), vec![1]);
-        assert_eq!(actives(&ws.advise(Round(3), &v)), vec![2]);
-        assert_eq!(actives(&ws.advise(Round(4), &v)), vec![0]);
+        assert_eq!(actives(&advise_cm(&mut ws, Round(1), &v)), vec![0]);
+        assert_eq!(actives(&advise_cm(&mut ws, Round(2), &v)), vec![1]);
+        assert_eq!(actives(&advise_cm(&mut ws, Round(3), &v)), vec![2]);
+        assert_eq!(actives(&advise_cm(&mut ws, Round(4), &v)), vec![0]);
     }
 
     #[test]
@@ -255,9 +256,9 @@ mod tests {
             7,
         );
         let v = view(3, &alive, &alive);
-        let _ = ls.advise(Round(1), &v);
+        let _ = advise_cm(&mut ls, Round(1), &v);
         for r in 2..10u64 {
-            assert_eq!(actives(&ls.advise(Round(r), &v)), vec![1]);
+            assert_eq!(actives(&advise_cm(&mut ls, Round(r), &v)), vec![1]);
         }
         assert_eq!(ls.leader(), ProcessId(1));
     }
@@ -267,7 +268,7 @@ mod tests {
         let alive = [true; 2];
         let mut ls = LeaderElectionService::min_leader_from_start();
         let v = view(2, &alive, &alive);
-        assert_eq!(actives(&ls.advise(Round(1), &v)), vec![0]);
+        assert_eq!(actives(&advise_cm(&mut ls, Round(1), &v)), vec![0]);
         assert_eq!(ls.stabilized_from(), Some(Round::FIRST));
     }
 
@@ -286,8 +287,8 @@ mod tests {
         .declaring_stabilization(Round(2));
         let alive = [true; 2];
         let v = view(2, &alive, &alive);
-        assert_eq!(actives(&cm.advise(Round(1), &v)).len(), 2);
-        assert_eq!(actives(&cm.advise(Round(2), &v)), vec![0]);
+        assert_eq!(actives(&advise_cm(&mut cm, Round(1), &v)).len(), 2);
+        assert_eq!(actives(&advise_cm(&mut cm, Round(2), &v)), vec![0]);
         assert_eq!(cm.stabilized_from(), Some(Round(2)));
     }
 }

@@ -309,6 +309,7 @@ impl CollisionDetector for MacAckDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wan_sim::testing::advise_cd;
 
     fn ids(indices: &[usize]) -> Vec<ProcessId> {
         indices.iter().map(|&i| ProcessId(i)).collect()
@@ -485,7 +486,7 @@ mod tests {
             sent_count: 0,
             received: vec![0, 0],
         };
-        let _ = detector.advise(Round(1), &tx);
+        let _ = advise_cd(&mut detector, Round(1), &tx);
     }
 
     #[test]

@@ -124,6 +124,7 @@ impl CollisionDetector for PhyDetector {
 mod tests {
     use super::*;
     use wan_sim::crash::NoCrashes;
+    use wan_sim::testing::advise_cd;
     use wan_sim::{AllActive, Automaton, CmAdvice, Components, RoundInput, Simulation};
 
     /// Broadcasts its id in round 1 only; counts decodes and collisions.
@@ -230,6 +231,6 @@ mod tests {
             sent_count: 0,
             received: vec![0, 0],
         };
-        let _ = detector.advise(Round(1), &tx);
+        let _ = advise_cd(&mut detector, Round(1), &tx);
     }
 }

@@ -177,6 +177,7 @@ impl<C: CrashAdversary> CrashAdversary for TimelineCrashes<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::crashes;
 
     #[test]
     fn scheduled_crashes_fire_once() {
@@ -184,55 +185,58 @@ mod tests {
             .crash(ProcessId(1), Round(3))
             .crash(ProcessId(0), Round(3))
             .crash(ProcessId(2), Round(5));
-        assert!(adv.crashes(Round(1), &[true; 3]).is_empty());
+        assert!(crashes(&mut adv, Round(1), &[true; 3]).is_empty());
         assert_eq!(
-            adv.crashes(Round(3), &[true; 3]),
+            crashes(&mut adv, Round(3), &[true; 3]),
             vec![ProcessId(1), ProcessId(0)]
         );
-        assert_eq!(adv.crashes(Round(5), &[true; 3]), vec![ProcessId(2)]);
+        assert_eq!(crashes(&mut adv, Round(5), &[true; 3]), vec![ProcessId(2)]);
         assert_eq!(adv.last_crash_round(), Some(Round(5)));
     }
 
     #[test]
     fn from_pairs_matches_builder() {
         let mut a = ScheduledCrashes::from_pairs([(ProcessId(0), Round(2))]);
-        assert_eq!(a.crashes(Round(2), &[true]), vec![ProcessId(0)]);
+        assert_eq!(crashes(&mut a, Round(2), &[true]), vec![ProcessId(0)]);
     }
 
     #[test]
     fn random_crashes_respect_cap_and_horizon() {
         let mut adv = RandomCrashes::new(1.0, 2, 9).ceasing_at(Round(4));
         let alive = vec![true; 5];
-        let first = adv.crashes(Round(1), &alive);
+        let first = crashes(&mut adv, Round(1), &alive);
         assert_eq!(first.len(), 2, "cap of 2 respected even at p=1");
-        assert!(adv.crashes(Round(2), &alive).is_empty(), "cap exhausted");
+        assert!(
+            crashes(&mut adv, Round(2), &alive).is_empty(),
+            "cap exhausted"
+        );
         let mut adv2 = RandomCrashes::new(1.0, 10, 9).ceasing_at(Round(4));
         assert!(
-            adv2.crashes(Round(4), &alive).is_empty(),
+            crashes(&mut adv2, Round(4), &alive).is_empty(),
             "horizon respected"
         );
     }
 
     #[test]
     fn no_crashes_is_empty() {
-        assert!(NoCrashes.crashes(Round(1), &[true; 3]).is_empty());
+        assert!(crashes(&mut NoCrashes, Round(1), &[true; 3]).is_empty());
     }
 
     #[test]
     fn timeline_bursts_take_the_lowest_alive_indices() {
         let mut adv = TimelineCrashes::new();
         assert!(
-            adv.crashes(Round(1), &[true; 4]).is_empty(),
+            crashes(&mut adv, Round(1), &[true; 4]).is_empty(),
             "no event, no crash"
         );
         adv.apply_event(Round(2), ScenarioEvent::CrashBurst { count: 2 });
         assert_eq!(
-            adv.crashes(Round(2), &[false, true, true, true]),
+            crashes(&mut adv, Round(2), &[false, true, true, true]),
             vec![ProcessId(1), ProcessId(2)],
             "burst skips already-dead processes"
         );
         assert!(
-            adv.crashes(Round(3), &[true; 4]).is_empty(),
+            crashes(&mut adv, Round(3), &[true; 4]).is_empty(),
             "burst fires once"
         );
     }
@@ -243,7 +247,7 @@ mod tests {
         let mut adv = TimelineCrashes::over(inner);
         adv.apply_event(Round(2), ScenarioEvent::CrashBurst { count: 1 });
         assert_eq!(
-            adv.crashes(Round(2), &[true; 3]),
+            crashes(&mut adv, Round(2), &[true; 3]),
             vec![ProcessId(0), ProcessId(1)],
             "the burst must not re-report the scheduled crash"
         );

@@ -71,6 +71,7 @@ pub mod loss;
 pub mod matrix;
 pub mod multiset;
 pub mod scenario;
+pub mod testing;
 pub mod timeline;
 pub mod trace;
 pub mod traits;

@@ -389,14 +389,15 @@ impl LossAdversary for ScriptedLoss {
 ///
 /// ```
 /// use wan_sim::loss::{Ecf, RandomLoss};
+/// use wan_sim::testing::deliver;
 /// use wan_sim::{LossAdversary, ProcessId, Round};
 ///
 /// let mut adv = Ecf::new(RandomLoss::new(0.9, 7), Round(10));
 /// let senders = [ProcessId(2)];
 /// // Before r_cf the inner adversary may drop the solo broadcast...
-/// let _ = adv.deliver(Round(1), &senders, 4);
+/// let _ = deliver(&mut adv, Round(1), &senders, 4);
 /// // ...from r_cf on it may not.
-/// let m = adv.deliver(Round(10), &senders, 4);
+/// let m = deliver(&mut adv, Round(10), &senders, 4);
 /// assert!((0..4).all(|r| m.delivered(ProcessId(2), ProcessId(r))));
 /// assert_eq!(adv.collision_free_from(), Some(Round(10)));
 /// ```
@@ -449,6 +450,7 @@ impl<A: LossAdversary> LossAdversary for Ecf<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::deliver;
     use proptest::prelude::*;
 
     fn pids(ids: &[usize]) -> Vec<ProcessId> {
@@ -457,7 +459,7 @@ mod tests {
 
     #[test]
     fn no_loss_delivers_all() {
-        let m = NoLoss.deliver(Round(1), &pids(&[0, 3]), 4);
+        let m = deliver(&mut NoLoss, Round(1), &pids(&[0, 3]), 4);
         assert!(m.delivered(ProcessId(0), ProcessId(2)));
         assert!(m.delivered(ProcessId(3), ProcessId(1)));
     }
@@ -465,9 +467,9 @@ mod tests {
     #[test]
     fn total_collision_rule() {
         let mut adv = TotalCollisionLoss;
-        let solo = adv.deliver(Round(1), &pids(&[1]), 3);
+        let solo = deliver(&mut adv, Round(1), &pids(&[1]), 3);
         assert!((0..3).all(|r| solo.delivered(ProcessId(1), ProcessId(r))));
-        let clash = adv.deliver(Round(2), &pids(&[0, 1]), 3);
+        let clash = deliver(&mut adv, Round(2), &pids(&[0, 1]), 3);
         assert!((0..3).all(|r| !clash.delivered(ProcessId(0), ProcessId(r))));
         assert!((0..3).all(|r| !clash.delivered(ProcessId(1), ProcessId(r))));
     }
@@ -475,7 +477,7 @@ mod tests {
     #[test]
     fn partition_blocks_cross_group_full_intra() {
         let mut adv = PartitionLoss::two_groups(4, 2, IntraGroupRule::Full);
-        let m = adv.deliver(Round(1), &pids(&[0, 2]), 4);
+        let m = deliver(&mut adv, Round(1), &pids(&[0, 2]), 4);
         // 0 reaches its group {0,1} only.
         assert!(m.delivered(ProcessId(0), ProcessId(1)));
         assert!(!m.delivered(ProcessId(0), ProcessId(2)));
@@ -488,7 +490,7 @@ mod tests {
     fn partition_solo_rule_mimics_alpha() {
         let mut adv = PartitionLoss::two_groups(4, 2, IntraGroupRule::Solo);
         // Two broadcasters in group 0: nothing delivered (even intra-group).
-        let m = adv.deliver(Round(1), &pids(&[0, 1, 2]), 4);
+        let m = deliver(&mut adv, Round(1), &pids(&[0, 1, 2]), 4);
         assert!(!m.delivered(ProcessId(0), ProcessId(1)));
         assert!(!m.delivered(ProcessId(1), ProcessId(0)));
         // Solo in group 1: delivered to its whole group only.
@@ -499,9 +501,9 @@ mod tests {
     #[test]
     fn partition_heals() {
         let mut adv = PartitionLoss::two_groups(2, 1, IntraGroupRule::Full).healing_from(Round(5));
-        let before = adv.deliver(Round(4), &pids(&[0]), 2);
+        let before = deliver(&mut adv, Round(4), &pids(&[0]), 2);
         assert!(!before.delivered(ProcessId(0), ProcessId(1)));
-        let after = adv.deliver(Round(5), &pids(&[0]), 2);
+        let after = deliver(&mut adv, Round(5), &pids(&[0]), 2);
         assert!(after.delivered(ProcessId(0), ProcessId(1)));
         assert_eq!(adv.collision_free_from(), Some(Round(5)));
     }
@@ -509,10 +511,10 @@ mod tests {
     #[test]
     fn random_loss_extremes() {
         let mut lossless = RandomLoss::new(0.0, 1);
-        let m = lossless.deliver(Round(1), &pids(&[0]), 3);
+        let m = deliver(&mut lossless, Round(1), &pids(&[0]), 3);
         assert!((0..3).all(|r| m.delivered(ProcessId(0), ProcessId(r))));
         let mut lossy = RandomLoss::new(1.0, 1);
-        let m = lossy.deliver(Round(1), &pids(&[0]), 3);
+        let m = deliver(&mut lossy, Round(1), &pids(&[0]), 3);
         assert!((0..3).all(|r| !m.delivered(ProcessId(0), ProcessId(r))));
     }
 
@@ -527,7 +529,7 @@ mod tests {
         let n = 70; // multi-word rows
         let senders = pids(&[1, 3, 64]);
         for round in 1..10u64 {
-            let m = adv.deliver(Round(round), &senders, n);
+            let m = deliver(&mut adv, Round(round), &senders, n);
             for &s in &senders {
                 for r in 0..n {
                     let expect = !reference.random_bool(0.4);
@@ -547,8 +549,8 @@ mod tests {
         // must leave the generator exactly where the scalar loop would.
         for p in [0.0, 1.0] {
             let mut adv = RandomLoss::new(p, 9);
-            let _ = adv.deliver(Round(1), &pids(&[0, 2]), 5);
-            let _ = adv.deliver(Round(2), &pids(&[1]), 5);
+            let _ = deliver(&mut adv, Round(1), &pids(&[0, 2]), 5);
+            let _ = deliver(&mut adv, Round(2), &pids(&[1]), 5);
             let mut reference = StdRng::seed_from_u64(9);
             for _ in 0..(2 + 1) * 5 {
                 reference.next_u64();
@@ -570,7 +572,7 @@ mod tests {
                 for intra in [IntraGroupRule::Full, IntraGroupRule::Solo] {
                     let senders: Vec<ProcessId> = (0..n).step_by(3).map(ProcessId).collect();
                     let mut adv = PartitionLoss::two_groups(n, split, intra);
-                    let fast = adv.deliver(Round(1), &senders, n);
+                    let fast = deliver(&mut adv, Round(1), &senders, n);
                     let mut reference = DeliveryMatrix::none(&senders, n);
                     for &s in &senders {
                         let g = adv.group_of(s);
@@ -611,8 +613,8 @@ mod tests {
         let mut b = RandomLoss::new(0.5, 42);
         for r in 1..20u64 {
             assert_eq!(
-                a.deliver(Round(r), &pids(&[0, 1]), 4),
-                b.deliver(Round(r), &pids(&[0, 1]), 4)
+                deliver(&mut a, Round(r), &pids(&[0, 1]), 4),
+                deliver(&mut b, Round(r), &pids(&[0, 1]), 4)
             );
         }
     }
@@ -623,9 +625,9 @@ mod tests {
             false
         }
         let mut adv = ScriptedLoss::new(vec![drop_all]);
-        let r1 = adv.deliver(Round(1), &pids(&[0]), 2);
+        let r1 = deliver(&mut adv, Round(1), &pids(&[0]), 2);
         assert!(!r1.delivered(ProcessId(0), ProcessId(1)));
-        let r2 = adv.deliver(Round(2), &pids(&[0]), 2);
+        let r2 = deliver(&mut adv, Round(2), &pids(&[0]), 2);
         assert!(r2.delivered(ProcessId(0), ProcessId(1)));
     }
 
@@ -638,7 +640,7 @@ mod tests {
             let sender = sender % n;
             let mut adv = Ecf::new(RandomLoss::new(1.0, seed), Round(r_cf));
             let senders = [ProcessId(sender)];
-            let m = adv.deliver(Round(round), &senders, n);
+            let m = deliver(&mut adv, Round(round), &senders, n);
             if round >= r_cf {
                 prop_assert!((0..n).all(|r| m.delivered(ProcessId(sender), ProcessId(r))));
             }
@@ -649,7 +651,7 @@ mod tests {
         fn ecf_leaves_contended_rounds_alone(round in 1u64..40, n in 2usize..6) {
             let mut adv = Ecf::new(RandomLoss::new(1.0, 0), Round(1));
             let senders = [ProcessId(0), ProcessId(1)];
-            let m = adv.deliver(Round(round), &senders, n);
+            let m = deliver(&mut adv, Round(round), &senders, n);
             // Inner adversary loses everything; ECF must not add deliveries.
             for r in 0..n {
                 prop_assert!(!m.delivered(ProcessId(0), ProcessId(r)));
@@ -669,8 +671,8 @@ mod tests {
             let mut timeline = TimelineLoss::new(p, seed);
             let senders: Vec<ProcessId> = (0..n).map(ProcessId).collect();
             for round in 1..=rounds {
-                let a = random.deliver(Round(round), &senders, n);
-                let b = timeline.deliver(Round(round), &senders, n);
+                let a = deliver(&mut random, Round(round), &senders, n);
+                let b = deliver(&mut timeline, Round(round), &senders, n);
                 for s in 0..n {
                     for r in 0..n {
                         prop_assert_eq!(
@@ -688,7 +690,7 @@ mod tests {
         let mut adv = TimelineLoss::new(0.0, 7);
         let senders = [ProcessId(0), ProcessId(2)];
         adv.apply_event(Round(1), ScenarioEvent::Split { boundary: 2 });
-        let m = adv.deliver(Round(1), &senders, 4);
+        let m = deliver(&mut adv, Round(1), &senders, 4);
         assert!(
             m.delivered(ProcessId(0), ProcessId(1)),
             "intra-group survives"
@@ -706,7 +708,7 @@ mod tests {
             "cross-boundary lost"
         );
         adv.apply_event(Round(2), ScenarioEvent::Heal);
-        let healed = adv.deliver(Round(2), &senders, 4);
+        let healed = deliver(&mut adv, Round(2), &senders, 4);
         assert!(
             healed.delivered(ProcessId(0), ProcessId(3)),
             "heal restores delivery"
@@ -717,11 +719,9 @@ mod tests {
     fn timeline_loss_rate_swap_takes_effect() {
         let mut adv = TimelineLoss::new(0.0, 3);
         let senders = [ProcessId(0)];
-        assert!(adv
-            .deliver(Round(1), &senders, 3)
-            .delivered(ProcessId(0), ProcessId(2)));
+        assert!(deliver(&mut adv, Round(1), &senders, 3).delivered(ProcessId(0), ProcessId(2)));
         adv.apply_event(Round(2), ScenarioEvent::SetLossRate { p: 1.0 });
-        let m = adv.deliver(Round(2), &senders, 3);
+        let m = deliver(&mut adv, Round(2), &senders, 3);
         assert!(
             !m.delivered(ProcessId(0), ProcessId(1)),
             "p = 1 loses everything"
@@ -736,7 +736,7 @@ mod tests {
         // Two senders: ECF's solo guarantee does not apply, so the swapped
         // rate must show through.
         let senders = [ProcessId(0), ProcessId(1)];
-        let m = adv.deliver(Round(1), &senders, 3);
+        let m = deliver(&mut adv, Round(1), &senders, 3);
         assert!(!m.delivered(ProcessId(0), ProcessId(2)));
         assert!(!m.delivered(ProcessId(1), ProcessId(2)));
     }

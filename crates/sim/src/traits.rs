@@ -5,21 +5,29 @@
 //!
 //! ## The writer-API convention
 //!
-//! Every component trait exposes its per-round output in two forms: a
-//! writer-style `*_into` method that fills a caller-provided buffer, and a
-//! `Vec`-returning convenience method. **Each has a default implementation
-//! in terms of the other, so an implementor must override at least one**
-//! (overriding neither recurses forever):
+//! Every component trait has exactly one required method, a writer that
+//! resolves one round into a caller-provided buffer (`advise_into`,
+//! `deliver_into`, `crashes_into`). The engine reuses its round buffers, so
+//! a steady-state round is allocation-free. The remaining methods are
+//! optional hooks with `None`/no-op defaults. A component that implements
+//! only the hooks does not compile:
 //!
-//! * Components on a hot path implement the `*_into` form natively — the
-//!   engine's reusable round buffers then make a steady-state round
-//!   allocation-free — and inherit the `Vec` wrapper for free.
-//! * Seed-era or external implementors that only define the `Vec` form
-//!   keep compiling unchanged; the default `*_into` falls back to the
-//!   `Vec` method and copies (correct, but allocating).
+//! ```compile_fail,E0046
+//! use wan_sim::{CollisionDetector, Round};
 //!
-//! The `Box<dyn …>` adapters forward *both* methods, so dynamic dispatch
-//! preserves whichever form the underlying component implements natively.
+//! struct HooksOnly;
+//! impl CollisionDetector for HooksOnly {
+//!     fn accuracy_from(&self) -> Option<Round> {
+//!         Some(Round(1))
+//!     }
+//! }
+//! ```
+//!
+//! Tests that want a round's output as an owned value use the allocating
+//! drivers in [`crate::testing`].
+//!
+//! The `Box<dyn …>` adapters forward the writer and every hook, so dynamic
+//! dispatch behaves exactly like the boxed component.
 
 use crate::advice::{CdAdvice, CmAdvice};
 use crate::ids::{ProcessId, Round};
@@ -36,31 +44,11 @@ pub use crate::matrix::DeliveryMatrix;
 /// received — never sender identities or message contents. Class obligations
 /// (completeness/accuracy, Properties 4–9) are defined and enforced in
 /// `wan-cd`.
-///
-/// Implement [`CollisionDetector::advise_into`] (hot path) or
-/// [`CollisionDetector::advise`] (convenience); see the module docs.
 pub trait CollisionDetector {
-    /// Advice for every process index for round `round`, given the round's
-    /// transmission entry. The returned vector must have length
-    /// `tx.received.len()`.
-    fn advise(&mut self, round: Round, tx: &TransmissionEntry) -> Vec<CdAdvice> {
-        let mut out = vec![CdAdvice::Null; tx.received.len()];
-        self.advise_into(round, tx, &mut out);
-        out
-    }
-
-    /// Writer form of [`CollisionDetector::advise`]: fills `out` (length
-    /// `tx.received.len()`) with this round's advice, overwriting every
-    /// slot.
-    fn advise_into(&mut self, round: Round, tx: &TransmissionEntry, out: &mut [CdAdvice]) {
-        let advice = self.advise(round, tx);
-        assert_eq!(
-            advice.len(),
-            out.len(),
-            "collision detector returned wrong arity"
-        );
-        out.copy_from_slice(&advice);
-    }
+    /// Fills `out` (length `tx.received.len()`) with every process's advice
+    /// for round `round`, given the round's transmission entry, overwriting
+    /// every slot.
+    fn advise_into(&mut self, round: Round, tx: &TransmissionEntry, out: &mut [CdAdvice]);
 
     /// The round `r_acc` from which this detector guarantees accuracy
     /// (Property 9), if it declares one. Used by the harness to compute the
@@ -79,9 +67,6 @@ pub trait CollisionDetector {
 }
 
 impl CollisionDetector for Box<dyn CollisionDetector> {
-    fn advise(&mut self, round: Round, tx: &TransmissionEntry) -> Vec<CdAdvice> {
-        (**self).advise(round, tx)
-    }
     fn advise_into(&mut self, round: Round, tx: &TransmissionEntry, out: &mut [CdAdvice]) {
         (**self).advise_into(round, tx, out)
     }
@@ -117,29 +102,10 @@ pub struct CmView<'a> {
 /// A contention manager (Definition 8): a source of per-round
 /// `active`/`passive` advice. Wake-up and leader-election service properties
 /// (Properties 2–3) live in `wan-cm`.
-///
-/// Implement [`ContentionManager::advise_into`] (hot path) or
-/// [`ContentionManager::advise`] (convenience); see the module docs.
 pub trait ContentionManager {
-    /// Advice for every process index for round `round`. Must return a
-    /// vector of length `view.n`.
-    fn advise(&mut self, round: Round, view: &CmView<'_>) -> Vec<CmAdvice> {
-        let mut out = vec![CmAdvice::Passive; view.n];
-        self.advise_into(round, view, &mut out);
-        out
-    }
-
-    /// Writer form of [`ContentionManager::advise`]: fills `out` (length
-    /// `view.n`) with this round's advice, overwriting every slot.
-    fn advise_into(&mut self, round: Round, view: &CmView<'_>, out: &mut [CmAdvice]) {
-        let advice = self.advise(round, view);
-        assert_eq!(
-            advice.len(),
-            out.len(),
-            "contention manager returned wrong arity"
-        );
-        out.copy_from_slice(&advice);
-    }
+    /// Fills `out` (length `view.n`) with every process's advice for round
+    /// `round`, overwriting every slot.
+    fn advise_into(&mut self, round: Round, view: &CmView<'_>, out: &mut [CmAdvice]);
 
     /// Channel feedback after the round completes: the transmission entry
     /// and which processes broadcast. Formal managers ignore this;
@@ -162,9 +128,6 @@ pub trait ContentionManager {
 }
 
 impl ContentionManager for Box<dyn ContentionManager> {
-    fn advise(&mut self, round: Round, view: &CmView<'_>) -> Vec<CmAdvice> {
-        (**self).advise(round, view)
-    }
     fn advise_into(&mut self, round: Round, view: &CmView<'_>, out: &mut [CmAdvice]) {
         (**self).advise_into(round, view, out)
     }
@@ -188,33 +151,20 @@ impl ContentionManager for Box<dyn ContentionManager> {
 /// nondeterminism, resolved. Concrete adversaries (no loss, the total
 /// collision model, partitions, random loss, scripts, and the eventual
 /// collision freedom wrapper of Property 1) live in [`crate::loss`].
-///
-/// Implement [`LossAdversary::deliver_into`] (hot path) or
-/// [`LossAdversary::deliver`] (convenience); see the module docs.
 pub trait LossAdversary {
-    /// The delivery matrix for round `round`, given which processes
-    /// broadcast. The engine forces self-delivery afterwards, so adversaries
-    /// need not handle constraint 5 themselves.
-    fn deliver(&mut self, round: Round, senders: &[ProcessId], n: usize) -> DeliveryMatrix {
-        let mut out = DeliveryMatrix::empty();
-        self.deliver_into(round, senders, n, &mut out);
-        out
-    }
-
-    /// Writer form of [`LossAdversary::deliver`]: resolves the round into
-    /// `out`, whose previous contents are arbitrary (typically the last
-    /// round's matrix). Implementations must start with
+    /// Resolves round `round`, given which processes broadcast, into `out`,
+    /// whose previous contents are arbitrary (typically the last round's
+    /// matrix). Implementations must start with
     /// [`DeliveryMatrix::clear_and_resize`]`(senders, n)` and may only mark
-    /// deliveries from the given senders.
+    /// deliveries from the given senders. The engine forces self-delivery
+    /// afterwards, so adversaries need not handle constraint 5 themselves.
     fn deliver_into(
         &mut self,
         round: Round,
         senders: &[ProcessId],
         n: usize,
         out: &mut DeliveryMatrix,
-    ) {
-        *out = self.deliver(round, senders, n);
-    }
+    );
 
     /// The round `r_cf` from which the adversary guarantees eventual
     /// collision freedom (Property 1: solo broadcasts are delivered to
@@ -230,9 +180,6 @@ pub trait LossAdversary {
 }
 
 impl LossAdversary for Box<dyn LossAdversary> {
-    fn deliver(&mut self, round: Round, senders: &[ProcessId], n: usize) -> DeliveryMatrix {
-        (**self).deliver(round, senders, n)
-    }
     fn deliver_into(
         &mut self,
         round: Round,
@@ -258,24 +205,11 @@ impl LossAdversary for Box<dyn LossAdversary> {
 /// round-`r` broadcast still happens; composing our start-of-round crashes
 /// with the unconstrained loss adversary recovers that behaviour, see
 /// DESIGN.md "Known subtleties".)
-///
-/// Implement [`CrashAdversary::crashes_into`] (hot path) or
-/// [`CrashAdversary::crashes`] (convenience); see the module docs.
 pub trait CrashAdversary {
-    /// Processes to crash at the start of `round`. Crashing an
+    /// *Appends* the processes to crash at the start of `round` to `out`
+    /// (the engine clears the buffer between rounds). Crashing an
     /// already-crashed process is a no-op.
-    fn crashes(&mut self, round: Round, alive: &[bool]) -> Vec<ProcessId> {
-        let mut out = Vec::new();
-        self.crashes_into(round, alive, &mut out);
-        out
-    }
-
-    /// Writer form of [`CrashAdversary::crashes`]: *appends* this round's
-    /// crashes to `out` (the engine clears the buffer between rounds).
-    fn crashes_into(&mut self, round: Round, alive: &[bool], out: &mut Vec<ProcessId>) {
-        let crashes = self.crashes(round, alive);
-        out.extend(crashes);
-    }
+    fn crashes_into(&mut self, round: Round, alive: &[bool], out: &mut Vec<ProcessId>);
 
     /// A scheduled scenario event addressed to the crash adversary (see
     /// [`crate::scenario`]), applied at the start of its round, before the
@@ -284,9 +218,6 @@ pub trait CrashAdversary {
 }
 
 impl CrashAdversary for Box<dyn CrashAdversary> {
-    fn crashes(&mut self, round: Round, alive: &[bool]) -> Vec<ProcessId> {
-        (**self).crashes(round, alive)
-    }
     fn crashes_into(&mut self, round: Round, alive: &[bool], out: &mut Vec<ProcessId>) {
         (**self).crashes_into(round, alive, out)
     }
@@ -298,108 +229,168 @@ impl CrashAdversary for Box<dyn CrashAdversary> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
-    /// A detector that only implements the seed-era `Vec` form: the writer
-    /// default must fall back to it (the source-compatibility contract).
-    struct VecOnlyDetector;
-    impl CollisionDetector for VecOnlyDetector {
-        fn advise(&mut self, _round: Round, tx: &TransmissionEntry) -> Vec<CdAdvice> {
-            tx.received
-                .iter()
-                .map(|&t| {
-                    if t == 0 {
-                        CdAdvice::Collision
-                    } else {
-                        CdAdvice::Null
-                    }
-                })
-                .collect()
+    /// A component that logs every method reaching it and answers each
+    /// hook with a non-default value, so a test can tell a forwarded call
+    /// from the boxed adapter falling back to the trait default.
+    struct Logged(Rc<RefCell<Vec<&'static str>>>);
+
+    impl Logged {
+        fn log(&self, call: &'static str) {
+            self.0.borrow_mut().push(call);
         }
     }
 
-    /// A manager that only implements the writer form: the `Vec` default
-    /// must wrap it.
-    struct IntoOnlyManager;
-    impl ContentionManager for IntoOnlyManager {
+    impl CollisionDetector for Logged {
+        fn advise_into(&mut self, _round: Round, _tx: &TransmissionEntry, out: &mut [CdAdvice]) {
+            self.log("advise_into");
+            out.fill(CdAdvice::Collision);
+        }
+        fn accuracy_from(&self) -> Option<Round> {
+            self.log("accuracy_from");
+            Some(Round(7))
+        }
+        fn apply_event(&mut self, _round: Round, _event: ScenarioEvent) {
+            self.log("apply_event");
+        }
+    }
+
+    impl ContentionManager for Logged {
         fn advise_into(&mut self, _round: Round, _view: &CmView<'_>, out: &mut [CmAdvice]) {
+            self.log("advise_into");
             out.fill(CmAdvice::Active);
         }
-    }
-
-    #[test]
-    fn vec_only_implementor_serves_the_writer_form() {
-        let mut d = VecOnlyDetector;
-        let tx = TransmissionEntry {
-            sent_count: 2,
-            received: vec![2, 0],
-        };
-        let mut out = [CdAdvice::Null; 2];
-        d.advise_into(Round(1), &tx, &mut out);
-        assert_eq!(out, [CdAdvice::Null, CdAdvice::Collision]);
-    }
-
-    #[test]
-    fn writer_only_implementor_serves_the_vec_form() {
-        let mut m = IntoOnlyManager;
-        let alive = [true; 3];
-        let view = CmView {
-            n: 3,
-            alive: &alive,
-            contending: &alive,
-        };
-        assert_eq!(m.advise(Round(1), &view), vec![CmAdvice::Active; 3]);
-    }
-
-    #[test]
-    fn vec_only_loss_serves_the_writer_form() {
-        struct HalfLoss;
-        impl LossAdversary for HalfLoss {
-            fn deliver(&mut self, _r: Round, senders: &[ProcessId], n: usize) -> DeliveryMatrix {
-                let mut m = DeliveryMatrix::none(senders, n);
-                for &s in senders {
-                    for r in 0..n / 2 {
-                        m.set(s, ProcessId(r), true);
-                    }
-                }
-                m
-            }
+        fn observe(&mut self, _round: Round, _tx: &TransmissionEntry, _senders: &[ProcessId]) {
+            self.log("observe");
         }
-        let mut adv = HalfLoss;
-        let mut out = DeliveryMatrix::full(&[ProcessId(1)], 2); // stale state
-        adv.deliver_into(Round(1), &[ProcessId(0)], 4, &mut out);
-        assert_eq!(out.n(), 4);
-        assert!(out.delivered(ProcessId(0), ProcessId(1)));
-        assert!(!out.delivered(ProcessId(0), ProcessId(2)));
-        assert!(!out.is_sender(ProcessId(1)), "stale sender replaced");
+        fn stabilized_from(&self) -> Option<Round> {
+            self.log("stabilized_from");
+            Some(Round(7))
+        }
+        fn apply_event(&mut self, _round: Round, _event: ScenarioEvent) {
+            self.log("apply_event");
+        }
+    }
+
+    impl LossAdversary for Logged {
+        fn deliver_into(
+            &mut self,
+            _round: Round,
+            senders: &[ProcessId],
+            n: usize,
+            out: &mut DeliveryMatrix,
+        ) {
+            self.log("deliver_into");
+            *out = DeliveryMatrix::full(senders, n);
+        }
+        fn collision_free_from(&self) -> Option<Round> {
+            self.log("collision_free_from");
+            Some(Round(7))
+        }
+        fn apply_event(&mut self, _round: Round, _event: ScenarioEvent) {
+            self.log("apply_event");
+        }
+    }
+
+    impl CrashAdversary for Logged {
+        fn crashes_into(&mut self, _round: Round, _alive: &[bool], out: &mut Vec<ProcessId>) {
+            self.log("crashes_into");
+            out.push(ProcessId(0));
+        }
+        fn apply_event(&mut self, _round: Round, _event: ScenarioEvent) {
+            self.log("apply_event");
+        }
+    }
+
+    const EVENT: ScenarioEvent = ScenarioEvent::Heal;
+
+    fn tx() -> TransmissionEntry {
+        TransmissionEntry {
+            sent_count: 1,
+            received: vec![1, 1],
+        }
+    }
+
+    // Each test drives the component through a generic bound, so the
+    // `Box<dyn …>` impl itself runs (not auto-deref to the inner type).
+
+    #[test]
+    fn boxed_detector_forwards_the_writer_and_every_hook() {
+        fn drive<D: CollisionDetector>(d: &mut D) -> (Vec<CdAdvice>, Option<Round>) {
+            d.apply_event(Round(1), EVENT);
+            let mut out = vec![CdAdvice::Null; 2];
+            d.advise_into(Round(1), &tx(), &mut out);
+            (out, d.accuracy_from())
+        }
+        let log = Rc::default();
+        let mut boxed: Box<dyn CollisionDetector> = Box::new(Logged(Rc::clone(&log)));
+        let (out, accuracy) = drive(&mut boxed);
+        assert_eq!(out, vec![CdAdvice::Collision; 2]);
+        assert_eq!(accuracy, Some(Round(7)));
+        assert_eq!(
+            *log.borrow(),
+            ["apply_event", "advise_into", "accuracy_from"]
+        );
     }
 
     #[test]
-    fn vec_only_crash_serves_the_writer_form() {
-        struct CrashZero;
-        impl CrashAdversary for CrashZero {
-            fn crashes(&mut self, _round: Round, _alive: &[bool]) -> Vec<ProcessId> {
-                vec![ProcessId(0)]
-            }
+    fn boxed_manager_forwards_the_writer_and_every_hook() {
+        fn drive<M: ContentionManager>(m: &mut M) -> (Vec<CmAdvice>, Option<Round>) {
+            let alive = [true; 2];
+            let view = CmView {
+                n: 2,
+                alive: &alive,
+                contending: &alive,
+            };
+            m.apply_event(Round(1), EVENT);
+            let mut out = vec![CmAdvice::Passive; 2];
+            m.advise_into(Round(1), &view, &mut out);
+            m.observe(Round(1), &tx(), &[ProcessId(0)]);
+            (out, m.stabilized_from())
         }
-        let mut out = vec![ProcessId(9)];
-        CrashZero.crashes_into(Round(1), &[true; 2], &mut out);
-        assert_eq!(out, vec![ProcessId(9), ProcessId(0)], "appends, not clears");
+        let log = Rc::default();
+        let mut boxed: Box<dyn ContentionManager> = Box::new(Logged(Rc::clone(&log)));
+        let (out, stabilized) = drive(&mut boxed);
+        assert_eq!(out, vec![CmAdvice::Active; 2]);
+        assert_eq!(stabilized, Some(Round(7)));
+        assert_eq!(
+            *log.borrow(),
+            ["apply_event", "advise_into", "observe", "stabilized_from"]
+        );
     }
 
     #[test]
-    #[should_panic(expected = "wrong arity")]
-    fn arity_mismatch_in_vec_fallback_is_caught() {
-        struct WrongArity;
-        impl CollisionDetector for WrongArity {
-            fn advise(&mut self, _round: Round, _tx: &TransmissionEntry) -> Vec<CdAdvice> {
-                vec![CdAdvice::Null]
-            }
+    fn boxed_loss_forwards_the_writer_and_every_hook() {
+        fn drive<L: LossAdversary>(l: &mut L) -> (DeliveryMatrix, Option<Round>) {
+            l.apply_event(Round(1), EVENT);
+            let mut out = DeliveryMatrix::empty();
+            l.deliver_into(Round(1), &[ProcessId(0)], 2, &mut out);
+            (out, l.collision_free_from())
         }
-        let tx = TransmissionEntry {
-            sent_count: 0,
-            received: vec![0, 0],
-        };
-        let mut out = [CdAdvice::Null; 2];
-        WrongArity.advise_into(Round(1), &tx, &mut out);
+        let log = Rc::default();
+        let mut boxed: Box<dyn LossAdversary> = Box::new(Logged(Rc::clone(&log)));
+        let (out, collision_free) = drive(&mut boxed);
+        assert!(out == DeliveryMatrix::full(&[ProcessId(0)], 2));
+        assert_eq!(collision_free, Some(Round(7)));
+        assert_eq!(
+            *log.borrow(),
+            ["apply_event", "deliver_into", "collision_free_from"]
+        );
+    }
+
+    #[test]
+    fn boxed_crash_forwards_the_writer_and_every_hook() {
+        fn drive<C: CrashAdversary>(c: &mut C) -> Vec<ProcessId> {
+            c.apply_event(Round(1), EVENT);
+            let mut out = vec![ProcessId(9)];
+            c.crashes_into(Round(1), &[true; 2], &mut out);
+            out
+        }
+        let log = Rc::default();
+        let mut boxed: Box<dyn CrashAdversary> = Box::new(Logged(Rc::clone(&log)));
+        assert_eq!(drive(&mut boxed), [ProcessId(9), ProcessId(0)]);
+        assert_eq!(*log.borrow(), ["apply_event", "crashes_into"]);
     }
 }

@@ -5,6 +5,7 @@
 //! unreproducible.
 
 use ccwan::bench::sweep::spec::{alg2_staircase_specs, bst_nocf_specs, lattice_specs};
+use ccwan::bench::sweep::{CellRow, MetricId};
 use ccwan::bench::Scale;
 use ccwan::bench::{Registry, SweepRunner};
 
@@ -77,9 +78,9 @@ fn untraced_cells_match_traced_reference() {
     }
 }
 
-/// The default (traced, full-manifest) path and the legacy core fields
-/// agree: a traced-by-default cell's compatibility accessor equals the
-/// outcome-only untraced run of the same cell.
+/// The default (traced, full-manifest) path and the core outcome metrics
+/// agree: a traced-by-default cell's core metrics equal the outcome-only
+/// untraced run of the same cell.
 #[test]
 fn traced_by_default_cells_preserve_the_legacy_core_fields() {
     let registry = Registry::standard(Scale::Quick);
@@ -91,10 +92,15 @@ fn traced_by_default_cells_preserve_the_legacy_core_fields() {
             .unwrap_or_else(|| panic!("registry has a {prefix} spec"));
         let mut outcome_only = spec.clone();
         outcome_only.probes = ccwan::bench::sweep::ProbeManifest::outcome_only();
+        let core = |row: CellRow| {
+            use MetricId::{LastDecision, Reference, Safe, Terminated};
+            let ids = [Reference, LastDecision, Terminated, Safe];
+            (row.cell_seed, ids.map(|id| row.metrics.get(id)))
+        };
         for case in 0..2 {
             assert_eq!(
-                spec.run_cell(0, case).to_cell_result(),
-                outcome_only.run_cell(0, case).to_cell_result(),
+                core(spec.run_cell(0, case)),
+                core(outcome_only.run_cell(0, case)),
                 "{} case {case}: probe manifest changed the measured outcome",
                 spec.name
             );
